@@ -102,26 +102,15 @@ def load_custom_shape(text: str, n_expected: int | None = None) -> KernelGeometr
 
 @dataclass(frozen=True)
 class BaseGrid:
-    """Stride-spaced anchor positions (i*stride, j*stride) on the padded map."""
+    """Extent of the stride-spaced anchor grid (i*stride, j*stride) on the padded map."""
 
     h_out: int
     w_out: int
     stride: int
 
-    def row_anchors(self) -> np.ndarray:
-        return np.arange(self.h_out, dtype=np.int64) * self.stride
-
-    def col_anchors(self) -> np.ndarray:
-        return np.arange(self.w_out, dtype=np.int64) * self.stride
-
-    def position(self, i: int, j: int) -> tuple[int, int]:
-        if not (0 <= i < self.h_out and 0 <= j < self.w_out):
-            raise IndexError(f"position ({i}, {j}) outside {self.h_out}x{self.w_out} grid")
-        return i * self.stride, j * self.stride
-
 
 def base_grid(h_in: int, w_in: int, stride: int = 1, pad: int = 0) -> BaseGrid:
-    """Output extent and anchors for an input of h_in x w_in after padding.
+    """Output extent of the anchor grid for an input of h_in x w_in after padding.
 
     h_out = floor((h_in + 2*pad - 1) / stride) + 1; a position's sampled
     footprint may extend past the padded map, which the sampler's boundary

@@ -99,8 +99,7 @@ def check_sampler_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
     return results
 
 
-def _layer_fixture(dims, n: int, seed: int, dtype, strategy: str, post: str,
-                   stride: int, padding: int):
+def _layer_fixture(dims, n: int, seed: int, dtype, post: str, stride: int, padding: int):
     """Layer + input with all grid coordinates >= 0.2 from any lattice point.
 
     Offset biases land in +-[0.25, 0.45] and the offset weights are scaled so
@@ -112,8 +111,7 @@ def _layer_fixture(dims, n: int, seed: int, dtype, strategy: str, post: str,
     b_n, c_in, h_in, w_in = dims
     c_out = 4
     layer = LdconvLayer.create(n, c_in, c_out, stride=stride, padding=padding,
-                               strategy=strategy, post=post, rng=rng,
-                               dtype=dtype, name="gradcheck")
+                               post=post, rng=rng, dtype=dtype, name="gradcheck")
     gen = rng.stream("layer/fixture")
     mag = gen.uniform(0.25, 0.45, size=2 * n)
     sign = np.where(gen.random(2 * n) < 0.5, -1.0, 1.0)
@@ -131,8 +129,7 @@ def _layer_fixture(dims, n: int, seed: int, dtype, strategy: str, post: str,
 
 
 def check_layer_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
-                          eps: float = 1e-4, dtype=np.float64,
-                          strategy: str = "channel-stack-1x1", post: str = "none",
+                          eps: float = 1e-4, dtype=np.float64, post: str = "none",
                           stride: int = 1, padding: int = 0,
                           sabotage: bool = False) -> list[GradCheckResult]:
     """Finite-difference suite for the layer's input and parameter gradients.
@@ -141,8 +138,7 @@ def check_layer_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
     corrupted; the suite must then report a failure (negative control).
     """
     dtype = np.dtype(dtype)
-    layer, x_arr, upstream = _layer_fixture(dims, n, seed, dtype, strategy, post,
-                                            stride, padding)
+    layer, x_arr, upstream = _layer_fixture(dims, n, seed, dtype, post, stride, padding)
 
     def loss():
         y, _ = layer.forward(Tensor4(x_arr.copy()))

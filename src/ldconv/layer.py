@@ -8,21 +8,23 @@ the padded input there, and mix the n sampled maps into the output channels
 with weights stored canonically as (c_out, c_in, n).  Parameters and compute
 therefore grow linearly in n instead of quadratically in a side length.
 
-The channel mix can be evaluated through three equivalent layouts (depth
-reduction over a length-n axis, channel stacking followed by a 1x1 mix, or
-width stacking followed by a (1, n) window of stride n); all read the same
-canonical weights and agree to rounding.
+Both linear maps are one GEMM each.  The offset conv multiplies the flattened
+3x3 weights with a channel-major window matrix of the input; the channel mix
+stacks the samples to c_in*n channels (channel k = c*n + m) and applies a 1x1
+mix.  The paper's other two layouts of the mix (a depth reduction over the
+length-n axis, and width stacking followed by a (1, n) window of stride n)
+compute the same map; the tests check them against this one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import KernelGeometry, base_grid, gen_initial_coords, load_custom_shape
+from .geometry import KernelGeometry, base_grid, gen_initial_coords
 from .sampler import SampleGrid, bilinear_backward, bilinear_sample
 from .tensor import Rng, ShapeError, Tensor4, _owned, pad2d, read_tensors, write_tensors
 
@@ -97,6 +99,8 @@ class LdconvLayer:
     offset_b: np.ndarray          # (2n,)
     agg_w: np.ndarray             # (c_out, c_in, n)
     agg_b: np.ndarray | None      # (c_out,) or None
+    # one of STRATEGIES: a validated label kept in configs and checkpoints;
+    # every layout computes the same map, so it selects no code path
     strategy: str = "channel-stack-1x1"
     post: str = "none"
     post_scale: np.ndarray | None = None
@@ -224,20 +228,35 @@ class LdconvLayer:
 
     # -- forward pieces ------------------------------------------------------
 
-    def _offset_conv(self, xp: np.ndarray) -> np.ndarray:
-        """3x3/pad-1 convolution of the padded input, stride = layer stride."""
+    def _windows(self, xp: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
+        """Window matrix (B, c_in*9, h_out*w_out) of the 3x3/pad-1 offset conv.
+
+        Row c*9 + kh*3 + kw is channel c at tap (kh, kw), matching
+        offset_w.reshape(2n, c_in*9).  It holds nine copies of the input, so
+        callers free it right after its GEMM rather than cache it.
+        """
         xpp = pad2d(xp, 1)
-        windows = np.lib.stride_tricks.sliding_window_view(xpp, (3, 3), axis=(2, 3))
-        windows = windows[:, :, ::self.stride, ::self.stride]
-        out = np.einsum("bcijkl,ockl->boij", windows, self.offset_w, optimize=True)
-        out += self.offset_b[None, :, None, None]
-        return out.astype(xp.dtype, copy=False)
+        b_n, c_in = xp.shape[:2]
+        s = self.stride
+        cols = np.empty((b_n, c_in, 3, 3, h_out, w_out), dtype=xp.dtype)
+        for kh in range(3):
+            for kw in range(3):
+                cols[:, :, kh, kw] = xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
+                                         kw:kw + (w_out - 1) * s + 1:s]
+        return cols.reshape(b_n, c_in * 9, h_out * w_out)
+
+    def _offset_conv(self, x: Tensor4, xp: np.ndarray) -> np.ndarray:
+        """Offset field of the padded input xp: one GEMM over the window matrix."""
+        b_n, _, h_in, w_in = x.dims
+        out = base_grid(h_in, w_in, stride=self.stride, pad=self.padding)
+        field = self.offset_w.reshape(2 * self.n, -1) @ self._windows(xp, out.h_out, out.w_out)
+        field += self.offset_b[:, None]
+        return field.reshape(b_n, 2 * self.n, out.h_out, out.w_out).astype(xp.dtype, copy=False)
 
     def predict_offsets(self, x: Tensor4) -> OffsetField:
         """Offset field for input x; output extent matches the layer's base grid."""
         self._check_input(x)
-        xp = pad2d(x.data, self.padding)
-        return OffsetField(n=self.n, data=self._offset_conv(xp))
+        return OffsetField(n=self.n, data=self._offset_conv(x, pad2d(x.data, self.padding)))
 
     def assemble_grid(self, offsets: OffsetField) -> SampleGrid:
         """Base anchors + initial coordinates + predicted offsets."""
@@ -261,25 +280,11 @@ class LdconvLayer:
         if sampled.ndim != 5 or sampled.shape[1] != self.c_in or sampled.shape[2] != self.n:
             raise ShapeError(f"sampled shape {sampled.shape} incompatible with layer")
         b_n, _, _, h_out, w_out = sampled.shape
-        if self.strategy == "conv3d-style":
-            # depth reduction: an (n,1,1) window of stride n over the sample axis
-            out = np.tensordot(sampled, self.agg_w, axes=([1, 2], [1, 2]))
-            out = np.moveaxis(out, 3, 1)
-        elif self.strategy == "channel-stack-1x1":
-            # stack to c_in*n channels, then a 1x1 mix; channel k = c*n + m
-            stacked = sampled.reshape(b_n, self.c_in * self.n, h_out, w_out)
-            w2 = self.agg_w.reshape(self.c_out, self.c_in * self.n)
-            out = np.einsum("bkij,ok->boij", stacked, w2, optimize=True)
-        else:  # column-conv
-            # stack along width to w_out*n, then a (1, n) window of stride (1, n)
-            wide = np.moveaxis(sampled, 2, 4).reshape(b_n, self.c_in, h_out, w_out * self.n)
-            out = np.zeros((b_n, self.c_out, h_out, w_out), dtype=sampled.dtype)
-            for m in range(self.n):
-                out += np.einsum("bcij,oc->boij", wide[:, :, :, m::self.n],
-                                 self.agg_w[:, :, m])
-        out = out.astype(sampled.dtype, copy=False)
+        stacked = sampled.reshape(b_n, self.c_in * self.n, h_out * w_out)
+        out = self.agg_w.reshape(self.c_out, self.c_in * self.n) @ stacked
+        out = out.reshape(b_n, self.c_out, h_out, w_out).astype(sampled.dtype, copy=False)
         if self.agg_b is not None:
-            out = out + self.agg_b[None, :, None, None]
+            out += self.agg_b[None, :, None, None]
         return out
 
     def _post_forward(self, mixed: np.ndarray):
@@ -321,7 +326,7 @@ class LdconvLayer:
     def forward(self, x: Tensor4) -> tuple[Tensor4, LayerCache]:
         self._check_input(x)
         xp = pad2d(x.data, self.padding)
-        offsets = OffsetField(n=self.n, data=self._offset_conv(xp))
+        offsets = OffsetField(n=self.n, data=self._offset_conv(x, xp))
         grid = self.assemble_grid(offsets)
         xp_t = _owned(xp) if self.padding else x
         sampled = bilinear_sample(xp_t, grid)
@@ -347,12 +352,17 @@ class LdconvLayer:
         if self.post == "normalize+activation":
             up, grad_scale, grad_shift = self._post_backward(cache.post_cache, up)
 
-        # channel mix (canonical backward shared by all strategies)
-        grad_agg_w = np.einsum("boij,bcnij->ocn", up, cache.sampled, optimize=True) \
-            .astype(self.dtype, copy=False)
+        b_n, _, h_out, w_out = up.shape
+        cells = h_out * w_out
+
+        # channel mix: the forward GEMM's two gradients on the same reshapes
+        up3 = up.reshape(b_n, self.c_out, cells)
+        stacked = cache.sampled.reshape(b_n, self.c_in * self.n, cells)
+        w_mix = self.agg_w.reshape(self.c_out, self.c_in * self.n)
+        grad_agg_w = (up3 @ stacked.transpose(0, 2, 1)).sum(axis=0) \
+            .reshape(self.agg_w.shape).astype(self.dtype, copy=False)
         grad_agg_b = up.sum(axis=(0, 2, 3)) if self.agg_b is not None else None
-        grad_sampled = np.einsum("boij,ocn->bcnij", up, self.agg_w, optimize=True) \
-            .astype(self.dtype, copy=False)
+        grad_sampled = (w_mix.T @ up3).reshape(cache.sampled.shape).astype(self.dtype, copy=False)
 
         # bilinear sampling
         xp_t = Tensor4(cache.xp)
@@ -360,25 +370,25 @@ class LdconvLayer:
         grad_xp = np.array(grad_xp_t.data)
 
         # grid -> offset field (anchors and initial coordinates are constant)
-        grad_field = np.concatenate([grad_rows, grad_cols], axis=1)
+        grad_field = np.concatenate([grad_rows, grad_cols], axis=1).reshape(b_n, 2 * self.n, cells)
 
-        # offset conv backward: weights, bias, and its contribution to grad_xp
-        xpp = pad2d(cache.xp, 1)
-        windows = np.lib.stride_tricks.sliding_window_view(xpp, (3, 3), axis=(2, 3))
-        windows = windows[:, :, ::self.stride, ::self.stride]
-        grad_offset_w = np.einsum("boij,bcijkl->ockl", grad_field, windows, optimize=True) \
-            .astype(self.dtype, copy=False)
-        grad_offset_b = grad_field.sum(axis=(0, 2, 3))
+        # offset conv: weight gradient against rebuilt windows, then the input
+        # gradient as one GEMM plus nine strided adds (col2im)
+        windows_t = self._windows(cache.xp, h_out, w_out).transpose(0, 2, 1)
+        grad_offset_w = (grad_field @ windows_t).sum(axis=0) \
+            .reshape(self.offset_w.shape).astype(self.dtype, copy=False)
+        del windows_t
+        grad_offset_b = grad_field.sum(axis=(0, 2))
 
-        h_out, w_out = grad_field.shape[2], grad_field.shape[3]
-        grad_xpp = np.zeros_like(xpp)
+        w_off = self.offset_w.reshape(2 * self.n, -1)
+        grad_windows = (w_off.T @ grad_field).reshape(b_n, self.c_in, 3, 3, h_out, w_out)
+        h_pad, w_pad = cache.xp.shape[2:]
+        grad_xpp = np.zeros((b_n, self.c_in, h_pad + 2, w_pad + 2), dtype=grad_xp.dtype)
+        s = self.stride
         for kh in range(3):
             for kw in range(3):
-                piece = np.einsum("boij,oc->bcij", grad_field, self.offset_w[:, :, kh, kw],
-                                  optimize=True)
-                grad_xpp[:, :,
-                         kh:kh + (h_out - 1) * self.stride + 1:self.stride,
-                         kw:kw + (w_out - 1) * self.stride + 1:self.stride] += piece
+                grad_xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
+                         kw:kw + (w_out - 1) * s + 1:s] += grad_windows[:, :, kh, kw]
         grad_xp += grad_xpp[:, :, 1:-1, 1:-1]
 
         if self.padding:
@@ -393,11 +403,12 @@ class LdconvLayer:
 
 # ---------------------------------------------------------------------------
 # Checkpointing: tensor container + JSON sidecar.  Vector parameters are
-# stored as rank-4 tensors with trailing singleton axes.
+# stored as rank-4 tensors with trailing singleton axes; the container holds
+# float32 only, so saving a layer of another dtype raises ValueError.
 
 
 def _as4(arr: np.ndarray, dims) -> Tensor4:
-    return Tensor4(np.ascontiguousarray(arr, dtype=np.float32).reshape(dims))
+    return Tensor4(arr.reshape(dims))
 
 
 def layer_records(layer: LdconvLayer) -> dict[str, Tensor4]:
@@ -422,8 +433,8 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
     }
     if layer.shape_file is not None:
         sidecar["shape_file"] = layer.shape_file
-    elif layer.geometry != gen_initial_coords(layer.n):
-        # custom geometry built in code: record the points so the layer loads back
+    if layer.shape_file is not None or layer.geometry != gen_initial_coords(layer.n):
+        # the points themselves, so loading needs no file and no working directory
         sidecar["coords"] = [list(pair) for pair in layer.geometry.coords]
     return sidecar
 
@@ -431,10 +442,11 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
 def layer_from_records(records: dict[str, Tensor4], sidecar: dict,
                        dtype=np.float32) -> LdconvLayer:
     n = int(sidecar["n"])
-    if sidecar.get("shape_file"):
-        geometry = load_custom_shape(Path(sidecar["shape_file"]).read_text(), n_expected=n)
-    elif sidecar.get("coords"):
+    if sidecar.get("coords"):
         geometry = KernelGeometry(tuple((int(r), int(c)) for r, c in sidecar["coords"]))
+    elif sidecar.get("shape_file"):
+        raise ValueError(f"sidecar names shape file {sidecar['shape_file']!r} but records "
+                         "no coords, so the kernel geometry cannot be restored")
     else:
         geometry = gen_initial_coords(n)
     dtype = np.dtype(dtype)

@@ -87,44 +87,8 @@ class Tensor4:
     def dtype(self):
         return self.data.dtype
 
-    def flat_index(self, b: int, c: int, h: int, w: int) -> int:
-        bb, cc, hh, ww = self.dims
-        if not (0 <= b < bb and 0 <= c < cc and 0 <= h < hh and 0 <= w < ww):
-            raise IndexError(f"index {(b, c, h, w)} out of range for dims {self.dims}")
-        return ((b * cc + c) * hh + h) * ww + w
-
-    def unflat_index(self, flat: int) -> tuple[int, int, int, int]:
-        bb, cc, hh, ww = self.dims
-        total = bb * cc * hh * ww
-        if not 0 <= flat < total:
-            raise IndexError(f"flat index {flat} out of range for {total} elements")
-        rest, w = divmod(flat, ww)
-        rest, h = divmod(rest, hh)
-        b, c = divmod(rest, cc)
-        return b, c, h, w
-
     def astype(self, dtype) -> "Tensor4":
         return Tensor4(self.data.astype(dtype))
-
-    def _binary(self, other, op):
-        if not isinstance(other, Tensor4):
-            return NotImplemented
-        if self.dims != other.dims:
-            raise ShapeError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return Tensor4(op(self.data, other.data))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Tensor4(self.data * self.dtype.type(other))
-        return self._binary(other, np.multiply)
-
-    __rmul__ = __mul__
 
 
 def _owned(arr: np.ndarray) -> Tensor4:
@@ -228,11 +192,15 @@ def conv2d_reference(x: Tensor4, weights, bias=None, stride: int = 1,
 
 
 def write_tensors(path, tensors: dict[str, Tensor4]) -> None:
+    """Write records to an LDT1 container; only float32 tensors are accepted."""
+    for name, tensor in tensors.items():
+        if not isinstance(tensor, Tensor4):
+            raise TypeError(f"record {name!r} is not a Tensor4")
+        if tensor.dtype != np.float32:
+            raise ValueError(f"record {name!r} is {tensor.dtype}; LDT1 stores float32 only")
     with open(path, "wb") as fh:
         fh.write(_CONTAINER_MAGIC)
         for name, tensor in tensors.items():
-            if not isinstance(tensor, Tensor4):
-                raise TypeError(f"record {name!r} is not a Tensor4")
             encoded = name.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise ValueError(f"record name too long: {len(encoded)} bytes")

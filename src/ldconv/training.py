@@ -345,17 +345,18 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
 
 
 def save_net(net: TinyNet, path, config: TrainConfig | None = None) -> None:
-    """Write all parameters into one tensor container plus a JSON sidecar."""
+    """Write all parameters into one tensor container plus a JSON sidecar.
+
+    Raises ValueError unless every parameter is float32 (the container's type).
+    """
     path = Path(path)
     records: dict[str, Tensor4] = {}
     for prefix, layer in (("ld1.", net.ld1), ("ld2.", net.ld2)):
         for name, tensor in layer_records(layer).items():
             records[prefix + name] = tensor
     classes, feats = net.fc_w.shape
-    records["fc.w"] = Tensor4(np.ascontiguousarray(net.fc_w, dtype=np.float32)
-                              .reshape(classes, feats, 1, 1))
-    records["fc.b"] = Tensor4(np.ascontiguousarray(net.fc_b, dtype=np.float32)
-                              .reshape(classes, 1, 1, 1))
+    records["fc.w"] = Tensor4(net.fc_w.reshape(classes, feats, 1, 1))
+    records["fc.b"] = Tensor4(net.fc_b.reshape(classes, 1, 1, 1))
     write_tensors(path, records)
     sidecar = {
         "kind": "tinynet",

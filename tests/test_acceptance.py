@@ -13,17 +13,17 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from test_geometry import coords_by_direct_construction
+from test_layer import layout_deviation
 
 from ldconv.analysis import average_offset, growth_audit
 from ldconv.geometry import gen_initial_coords
 from ldconv.gradcheck import check_layer_gradients
-from ldconv.layer import STRATEGIES, LdconvLayer, OffsetField
+from ldconv.layer import LdconvLayer, OffsetField
 from ldconv.tensor import Rng, conv2d_reference, rand_uniform
 from ldconv.training import TinyNet, TrainConfig, softmax_cross_entropy, synthetic_bars, train
 
@@ -75,12 +75,10 @@ def test_criterion_2_strategy_equivalence():
             base.offset_b = layer_rng.stream("offb").uniform(
                 -0.5, 0.5, size=base.offset_b.shape).astype(np.float32)
             x = rand_uniform((2, c_in, h, w), layer_rng, stream="x")
-            outs = [replace(base, strategy=s).forward(x)[0].data for s in STRATEGIES]
-            scale = max(float(np.max(np.abs(outs[1]))), 1e-12)
-            for other in (outs[0], outs[2]):
-                worst = max(worst, float(np.max(np.abs(other - outs[1]))) / scale)
-        return worst < 1e-5, f"100 random configs, worst relative deviation {worst:.2e} (tol 1e-5)"
-    _run(2, "three aggregation strategies compute the same map", 30.0, check)
+            worst = max(worst, layout_deviation(base, x))
+        return worst < 1e-5, (f"100 random configs, layer vs conv3d-style and column-conv "
+                              f"oracles, worst relative deviation {worst:.2e} (tol 1e-5)")
+    _run(2, "three aggregation layouts compute the same map", 30.0, check)
 
 
 def test_criterion_3_standard_conv_equivalence():

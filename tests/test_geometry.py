@@ -14,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldconv.geometry import (
-    BaseGrid,
     KernelGeometry,
     ShapeFileError,
     base_grid,
     gen_initial_coords,
     load_custom_shape,
 )
+from ldconv.layer import LdconvLayer
+from ldconv.tensor import Tensor4
 
 
 def coords_by_direct_construction(n):
@@ -166,23 +167,18 @@ def test_base_grid_extent(h_in, w_in, stride, pad, h_out, w_out):
     stride=st.integers(min_value=1, max_value=4),
     pad=st.integers(min_value=0, max_value=3),
 )
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_base_grid_anchors_are_stride_multiples(h_in, stride, pad):
+    # a one-point layer with zero offsets samples exactly at the anchors
     grid = base_grid(h_in, h_in, stride=stride, pad=pad)
-    anchors = grid.row_anchors()
-    assert len(anchors) == grid.h_out
+    layer = LdconvLayer.create(1, 1, 1, stride=stride, padding=pad)
+    x = Tensor4(np.zeros((1, 1, h_in, h_in), dtype=np.float32))
+    sample = layer.assemble_grid(layer.predict_offsets(x))
+    assert sample.dims == (1, 1, grid.h_out, grid.w_out)
+    anchors = sample.rows[0, 0, :, 0]
     assert np.all(anchors % stride == 0)
     assert np.all(np.diff(anchors) == stride)
-    assert grid.position(0, 0) == (0, 0)
-    last = grid.h_out - 1
-    assert grid.position(last, 0) == (last * stride, 0)
-
-
-def test_base_grid_position_bounds():
-    grid = BaseGrid(h_out=3, w_out=4, stride=2)
-    assert grid.position(2, 3) == (4, 6)
-    with pytest.raises(IndexError):
-        grid.position(3, 0)
+    assert anchors[0] == 0 and np.all(sample.cols[0, 0, 0, :] == anchors)
 
 
 def test_base_grid_rejects_bad_arguments():

@@ -1,7 +1,5 @@
 """Deformable layer: offsets, grid assembly, aggregation, and gradients."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,8 @@ from hypothesis import strategies as st
 
 from ldconv.gradcheck import check_layer_gradients
 from ldconv.geometry import KernelGeometry, gen_initial_coords
-from ldconv.layer import STRATEGIES, LdconvLayer, OffsetField, load_layer, save_layer
+from ldconv.cli import REL_TOL_STRATEGY
+from ldconv.layer import LdconvLayer, OffsetField, load_layer, save_layer
 from ldconv.tensor import Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform
 
 
@@ -24,6 +23,46 @@ def _randomized(layer, rng, w_scale=0.1, b_scale=0.5):
     layer.offset_b = rng.stream("offb").uniform(
         -b_scale, b_scale, size=layer.offset_b.shape).astype(layer.dtype)
     return layer
+
+
+# -- the paper's other two channel-mix layouts, as oracles ---------------------
+# Written from the paper's description of each layout, independently of the
+# layer's single GEMM over the channel-stacked samples.
+
+
+def mix_conv3d_style(sampled, agg_w):
+    """Depth reduction: a (n, 1, 1) window of stride n over the sample axis.
+
+    sampled (B, c_in, n, H, W) is read as a depth-n volume per input channel;
+    the one window position sums each depth tap against its kernel slice.
+    """
+    b_n, c_in, n, h, w = sampled.shape
+    out = np.zeros((b_n, agg_w.shape[0], h, w))
+    for c in range(c_in):
+        for m in range(n):
+            out += agg_w[None, :, c, m, None, None] * sampled[:, c, m][:, None].astype(np.float64)
+    return out
+
+
+def mix_column_conv(sampled, agg_w):
+    """Width stacking: column j*n + m holds sample m of output column j, then a
+    (1, n) window of stride n slides along the widened rows."""
+    b_n, c_in, n, h, w = sampled.shape
+    wide = np.moveaxis(sampled, 2, 4).reshape(b_n, c_in, h, w * n).astype(np.float64)
+    out = np.zeros((b_n, agg_w.shape[0], h, w))
+    for j in range(w):
+        window = wide[:, :, :, j * n:(j + 1) * n]                  # (B, c_in, H, n)
+        out[:, :, :, j] = np.tensordot(window, agg_w, axes=([1, 3], [1, 2])).transpose(0, 2, 1)
+    return out
+
+
+def layout_deviation(layer, x):
+    """Worst relative deviation of the layer's output from both layout oracles
+    applied to the same samples."""
+    y, cache = layer.forward(x)
+    bias = 0.0 if layer.agg_b is None else layer.agg_b[None, :, None, None]
+    return max(_rel_dev(y.data, oracle(cache.sampled, layer.agg_w) + bias)
+               for oracle in (mix_conv3d_style, mix_column_conv))
 
 
 # -- offsets and grid -----------------------------------------------------------
@@ -124,11 +163,9 @@ def test_unknown_strategy_rejected():
 @settings(max_examples=40, deadline=None)
 def test_strategies_realize_the_same_map(n, c_in, c_out, h, w, seed):
     rng = Rng(seed)
-    base = _randomized(LdconvLayer.create(n, c_in, c_out, rng=rng), rng)
+    layer = _randomized(LdconvLayer.create(n, c_in, c_out, rng=rng), rng)
     x = rand_uniform((2, c_in, h, w), rng, stream="x")
-    outs = [replace(base, strategy=s).forward(x)[0].data for s in STRATEGIES]
-    assert _rel_dev(outs[0], outs[1]) < 1e-5
-    assert _rel_dev(outs[0], outs[2]) < 1e-5
+    assert layout_deviation(layer, x) < REL_TOL_STRATEGY
 
 
 # -- forward ----------------------------------------------------------------------
@@ -234,6 +271,21 @@ def test_gradients_with_post_stage():
                                     post="normalize+activation")
     groups = {res.group for res in results}
     assert "layer/post_scale" in groups and "layer/post_shift" in groups
+    for res in results:
+        assert res.passed, f"{res.group}: {res.max_rel_err:.3e} > {res.tol}"
+
+
+@pytest.mark.parametrize(("stride", "padding", "post"), [
+    (2, 0, "none"), (3, 0, "none"), (1, 1, "none"), (1, 2, "none"),
+    (2, 1, "normalize+activation"), (3, 2, "normalize+activation"),
+])
+def test_gradients_at_strides_and_padding(stride, padding, post):
+    # The post stage is curved, so there the central difference's truncation
+    # error (~eps^2, 7e-8 at the default 1e-4) dominates; 1e-5 cuts it 100x.
+    eps = 1e-4 if post == "none" else 1e-5
+    results = check_layer_gradients(dims=(2, 3, 7, 7), n=5, seed=stride + 10 * padding,
+                                    eps=eps, dtype=np.float64, stride=stride,
+                                    padding=padding, post=post)
     for res in results:
         assert res.passed, f"{res.group}: {res.max_rel_err:.3e} > {res.tol}"
 

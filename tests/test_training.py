@@ -1,10 +1,14 @@
 """Training harness: data loading, the two-layer net, and the SGD loop."""
 
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ldconv.geometry import load_custom_shape
+from ldconv.layer import save_layer
 from ldconv.tensor import Rng
 from ldconv.training import (
     Dataset,
@@ -144,16 +148,17 @@ def test_softmax_cross_entropy_matches_hand_value():
     assert dlogits.sum() == pytest.approx(0.0, abs=1e-7)
 
 
-def test_strategy_swap_preserves_logits():
+def test_strategy_swap_preserves_logits(tmp_path):
+    # the strategy is a label of the layout, not a code path: logits are identical
     cfg = TrainConfig()
-    base = _net(cfg)
     images = synthetic_bars(8, Rng(1)).images
-    want, _ = base.forward(images)
+    want, _ = _net(cfg).forward(images)
     for strategy in ("conv3d-style", "column-conv"):
         other = _net(TrainConfig(strategy=strategy))
-        scale = max(float(np.max(np.abs(want))), 1e-12)
-        got, _ = other.forward(images)
-        assert np.max(np.abs(got - want)) / scale < 1e-4
+        assert np.array_equal(other.forward(images)[0], want)
+        save_net(other, tmp_path / "net.ldt")
+        back, _ = load_net(tmp_path / "net.ldt")
+        assert back.ld1.strategy == back.ld2.strategy == strategy
 
 
 def test_evaluate_tie_breaks_to_lowest_class():
@@ -276,6 +281,36 @@ def test_net_checkpoint_round_trip(tmp_path):
     assert sidecar["config"]["epochs"] == 1
     probe = data.images[:4]
     assert np.array_equal(net.forward(probe)[0], back.forward(probe)[0])
+    for (name, want), got in zip(net.params().items(), back.params().values()):
+        assert got.dtype == np.float32 and np.array_equal(got, want), name
+
+
+def test_checkpoints_refuse_float64(tmp_path):
+    net = TinyNet.create(dtype=np.float64)
+    with pytest.raises(ValueError, match="float32 only"):
+        save_net(net, tmp_path / "net.ldt")
+    with pytest.raises(ValueError, match="float32 only"):
+        save_layer(net.ld1, tmp_path / "layer.ldt")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_shape_file_checkpoint_loads_from_any_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    rel = "shapes/plus_5.txt"
+    geo = load_custom_shape(Path(rel).read_text())
+    net = TinyNet.create(geometry1=geo, geometry2=geo, shape_file=rel)
+    path = tmp_path / "net.ldt"
+    save_net(net, path)
+    monkeypatch.chdir(tmp_path)
+    back, _ = load_net(path)
+    assert back.ld1.geometry == back.ld2.geometry == geo
+    assert back.ld1.shape_file == rel
+    # a sidecar that names the file but records no points cannot be trusted
+    sidecar = json.loads(Path(str(path) + ".json").read_text())
+    del sidecar["ld1"]["coords"]
+    Path(str(path) + ".json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match="coords"):
+        load_net(path)
 
 
 def test_load_net_rejects_layer_checkpoint(tmp_path):

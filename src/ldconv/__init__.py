@@ -11,11 +11,11 @@ if _requested:
         _os.environ.setdefault(_var, _requested)
 
 from .tensor import (Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform,
-                     read_tensors, write_tensors, zeros)
+                     read_tensors, write_tensors)
 from .geometry import (BaseGrid, KernelGeometry, ShapeFileError, base_grid,
                        gen_initial_coords, load_custom_shape)
 from .sampler import SampleGrid, bilinear_backward, bilinear_sample
-from .layer import (LdconvLayer, OffsetField, STRATEGIES, load_layer, save_layer)
+from .layer import LdconvLayer, OffsetField, STRATEGIES
 from .training import (Dataset, DivergenceError, TinyNet, TrainConfig, evaluate,
                        load_idx, load_net, save_net, synthetic_bars, train)
 from .analysis import (AoReport, GrowthRow, IncompatibleCheckpointError,
@@ -29,7 +29,7 @@ __all__ = [
     "Rng", "SampleGrid", "ShapeError", "ShapeFileError", "STRATEGIES", "Tensor4",
     "TinyNet", "TrainConfig", "average_offset", "base_grid", "bilinear_backward",
     "bilinear_sample", "conv2d_reference", "evaluate", "gen_initial_coords",
-    "growth_audit", "load_custom_shape", "load_idx", "load_layer", "load_net",
-    "rand_uniform", "read_tensors", "save_layer", "save_net", "shape_ao_compare",
-    "synthetic_bars", "train", "write_tensors", "zeros",
+    "growth_audit", "load_custom_shape", "load_idx", "load_net", "rand_uniform",
+    "read_tensors", "save_net", "shape_ao_compare", "synthetic_bars", "train",
+    "write_tensors",
 ]

@@ -84,8 +84,8 @@ class GrowthRow:
     std_params: int
 
 
-def growth_audit(c_in: int, c_out: int, n_range, *, h_in: int = 32, w_in: int = 32,
-                 agg_bias: bool = True, stride: int = 1, padding: int = 0) -> list[GrowthRow]:
+def growth_audit(c_in: int, c_out: int, n_range, *, h_in: int = 32,
+                 w_in: int = 32) -> list[GrowthRow]:
     """Parameter/FLOP table over kernel sizes, against k x k standard convs.
 
     delta_params is the difference to the previous row (empty for the first):
@@ -103,8 +103,7 @@ def growth_audit(c_in: int, c_out: int, n_range, *, h_in: int = 32, w_in: int = 
     rows: list[GrowthRow] = []
     previous = None
     for n in n_list:
-        layer = LdconvLayer.create(n, c_in, c_out, stride=stride, padding=padding,
-                                   agg_bias=agg_bias, rng=Rng(0))
+        layer = LdconvLayer.create(n, c_in, c_out, rng=Rng(0))
         params = layer.param_count()
         std_k = math.ceil(math.sqrt(n))
         rows.append(GrowthRow(

@@ -277,17 +277,11 @@ def _cmd_growth(args) -> int:
     RunReport(command="growth",
               config={"c_in": args.c_in, "c_out": args.c_out, "n_max": args.n_max},
               timestamp=None,  # fully determined by flags
-              metrics={"rows": [asdict_row(row) for row in rows]},
+              metrics={"rows": [asdict(row) for row in rows]},
               artifacts={"csv": csv_path.name, "svg": svg_path.name},
               ).save(out_dir / "report.json")
     print(csv_path)
     return 0
-
-
-def asdict_row(row) -> dict:
-    return {"n": row.n, "params": row.params, "flops": row.flops,
-            "delta_params": row.delta_params, "std_k": row.std_k,
-            "std_params": row.std_params}
 
 
 # -- parser ----------------------------------------------------------------------

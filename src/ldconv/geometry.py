@@ -56,10 +56,6 @@ class KernelGeometry:
     def cols(self) -> np.ndarray:
         return np.array([c for _, c in self.coords], dtype=np.int64)
 
-    def extent(self) -> tuple[int, int]:
-        """Rows/cols spanned: (max row + 1, max col + 1)."""
-        return int(self.rows().max()) + 1, int(self.cols().max()) + 1
-
 
 def gen_initial_coords(n: int) -> KernelGeometry:
     """Default n-point kernel layout (near-square block plus remainder row)."""
@@ -73,7 +69,7 @@ def gen_initial_coords(n: int) -> KernelGeometry:
     return KernelGeometry(tuple(coords))
 
 
-def load_custom_shape(text: str, n_expected: int | None = None) -> KernelGeometry:
+def load_custom_shape(text: str) -> KernelGeometry:
     """Parse a shape file: one "row col" pair per line, '#' starts a comment."""
     coords: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -95,8 +91,6 @@ def load_custom_shape(text: str, n_expected: int | None = None) -> KernelGeometr
         coords.append((r, c))
     if not coords:
         raise ShapeFileError("shape file holds no coordinates")
-    if n_expected is not None and len(coords) != n_expected:
-        raise ShapeFileError(f"expected {n_expected} coordinates, got {len(coords)}")
     return KernelGeometry(tuple(coords))
 
 

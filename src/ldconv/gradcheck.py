@@ -149,15 +149,9 @@ def check_layer_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
     if sabotage:
         grads.offset_w = grads.offset_w * 1.5 + 1e-3
 
-    groups = [("layer/input", np.array(grads.x.data), x_arr),
-              ("layer/offset_w", grads.offset_w, layer.offset_w),
-              ("layer/offset_b", grads.offset_b, layer.offset_b),
-              ("layer/agg_w", grads.agg_w, layer.agg_w)]
-    if layer.agg_b is not None:
-        groups.append(("layer/agg_b", grads.agg_b, layer.agg_b))
-    if post == "normalize+activation":
-        groups.append(("layer/post_scale", grads.post_scale, layer.post_scale))
-        groups.append(("layer/post_shift", grads.post_shift, layer.post_shift))
+    groups = [("layer/input", np.array(grads.x.data), x_arr)]
+    groups += [(f"layer/{name}", getattr(grads, name), param)
+               for name, param in layer.params().items()]
 
     tol = DEFAULT_TOL[dtype]
     results = []

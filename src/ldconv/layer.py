@@ -18,20 +18,22 @@ compute the same map; the tests check them against this one.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import KernelGeometry, base_grid, gen_initial_coords
 from .sampler import SampleGrid, bilinear_backward, bilinear_sample
-from .tensor import Rng, ShapeError, Tensor4, _owned, pad2d, read_tensors, write_tensors
+from .tensor import Rng, ShapeError, Tensor4, _owned, pad2d
 
 STRATEGIES = ("conv3d-style", "channel-stack-1x1", "column-conv")
 POST_MODES = ("none", "normalize+activation")
 
 _NORM_EPS = 1e-5
+
+
+class NonFiniteError(ValueError):
+    """An array that must be finite holds inf or nan."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class OffsetField:
         if arr.shape[1] != 2 * self.n:
             raise ShapeError(f"offset field has {arr.shape[1]} channels, expected {2 * self.n}")
         if not np.isfinite(arr).all():
-            raise ValueError("offset field holds non-finite values")
+            raise NonFiniteError("offset field holds non-finite values")
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
@@ -65,7 +67,6 @@ class OffsetField:
 class LayerCache:
     """Intermediate values retained by forward for the manual backward pass."""
 
-    x: Tensor4
     xp: np.ndarray
     offsets: OffsetField
     grid: SampleGrid
@@ -98,14 +99,13 @@ class LdconvLayer:
     offset_w: np.ndarray          # (2n, c_in, 3, 3)
     offset_b: np.ndarray          # (2n,)
     agg_w: np.ndarray             # (c_out, c_in, n)
-    agg_b: np.ndarray | None      # (c_out,) or None
+    agg_b: np.ndarray | None      # (c_out,) without the post stage, else None
     # one of STRATEGIES: a validated label kept in configs and checkpoints;
     # every layout computes the same map, so it selects no code path
     strategy: str = "channel-stack-1x1"
     post: str = "none"
     post_scale: np.ndarray | None = None
     post_shift: np.ndarray | None = None
-    shape_file: str | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -128,11 +128,13 @@ class LdconvLayer:
             raise ShapeError(f"offset_b shape {self.offset_b.shape}")
         if self.agg_w.shape != (self.c_out, self.c_in, self.n):
             raise ShapeError(f"agg_w shape {self.agg_w.shape}")
+        with_post = self.post == "normalize+activation"
+        if (self.agg_b is None) != with_post:
+            raise ValueError("an aggregation bias exists iff there is no post stage")
         if self.agg_b is not None and self.agg_b.shape != (self.c_out,):
             raise ShapeError(f"agg_b shape {self.agg_b.shape}")
-        if self.post == "normalize+activation":
-            if self.post_scale is None or self.post_shift is None:
-                raise ValueError("post stage enabled but scale/shift missing")
+        if with_post and (self.post_scale is None or self.post_shift is None):
+            raise ValueError("post stage enabled but scale/shift missing")
 
     # -- construction -------------------------------------------------------
 
@@ -140,9 +142,8 @@ class LdconvLayer:
     def create(cls, n: int, c_in: int, c_out: int, *, stride: int = 1,
                padding: int = 0, strategy: str = "channel-stack-1x1",
                post: str = "none", geometry: KernelGeometry | None = None,
-               rng: Rng | None = None, agg_bias: bool = True,
-               dtype=np.float32, name: str = "ldconv",
-               shape_file: str | None = None) -> "LdconvLayer":
+               rng: Rng | None = None, dtype=np.float32,
+               name: str = "ldconv") -> "LdconvLayer":
         """Build a layer with zero offsets and fan-in-scaled mixing weights.
 
         When the post stage is enabled the aggregation bias is dropped: the
@@ -157,15 +158,14 @@ class LdconvLayer:
         agg_w = rng.stream(f"{name}/agg_w").uniform(-bound, bound,
                                                     size=(c_out, c_in, n)).astype(dtype)
         with_post = post == "normalize+activation"
-        agg_bias = agg_bias and not with_post
         return cls(
             n=n, c_in=c_in, c_out=c_out, stride=stride, padding=padding,
             geometry=geometry,
             offset_w=np.zeros((2 * n, c_in, 3, 3), dtype=dtype),
             offset_b=np.zeros(2 * n, dtype=dtype),
             agg_w=agg_w,
-            agg_b=np.zeros(c_out, dtype=dtype) if agg_bias else None,
-            strategy=strategy, post=post, shape_file=shape_file,
+            agg_b=None if with_post else np.zeros(c_out, dtype=dtype),
+            strategy=strategy, post=post,
             post_scale=np.ones(c_out, dtype=dtype) if with_post else None,
             post_shift=np.zeros(c_out, dtype=dtype) if with_post else None,
         )
@@ -175,42 +175,27 @@ class LdconvLayer:
         return self.agg_w.dtype
 
     def params(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {f"{prefix}offset_w": self.offset_w, f"{prefix}offset_b": self.offset_b,
-               f"{prefix}agg_w": self.agg_w}
-        if self.agg_b is not None:
-            out[f"{prefix}agg_b"] = self.agg_b
-        if self.post == "normalize+activation":
-            out[f"{prefix}post_scale"] = self.post_scale
-            out[f"{prefix}post_shift"] = self.post_shift
-        return out
+        """The learnable arrays by field name: the one list of which groups exist.
+
+        Checkpoints, dtype casts, gradients, audits and the gradient check all
+        iterate it.  The aggregation bias exists only without the post stage,
+        scale and shift only with it.
+        """
+        names = ["offset_w", "offset_b", "agg_w"]
+        names += ["post_scale", "post_shift"] if self.post == "normalize+activation" else ["agg_b"]
+        return {prefix + name: getattr(self, name) for name in names}
 
     def astype(self, dtype) -> "LdconvLayer":
-        dtype = np.dtype(dtype)
-        return LdconvLayer(
-            n=self.n, c_in=self.c_in, c_out=self.c_out, stride=self.stride,
-            padding=self.padding, geometry=self.geometry,
-            offset_w=self.offset_w.astype(dtype), offset_b=self.offset_b.astype(dtype),
-            agg_w=self.agg_w.astype(dtype),
-            agg_b=None if self.agg_b is None else self.agg_b.astype(dtype),
-            strategy=self.strategy, post=self.post, shape_file=self.shape_file,
-            post_scale=None if self.post_scale is None else self.post_scale.astype(dtype),
-            post_shift=None if self.post_shift is None else self.post_shift.astype(dtype),
-        )
+        return replace(self, **{name: arr.astype(dtype) for name, arr in self.params().items()})
 
     # -- audits --------------------------------------------------------------
 
     def param_count(self) -> int:
-        """Learnable scalar count: 2n*c_in*9 + 2n + c_out*c_in*n (+ c_out bias).
-
-        The normalisation scale/shift add 2*c_out more when the post stage is
-        enabled; both contributions are independent of n.
+        """Learnable scalar count: 2n*c_in*9 + 2n + c_out*c_in*n, plus c_out
+        for the bias without the post stage or 2*c_out for the normalisation
+        scale and shift with it; neither addition depends on n.
         """
-        count = 2 * self.n * self.c_in * 9 + 2 * self.n + self.c_out * self.c_in * self.n
-        if self.agg_b is not None:
-            count += self.c_out
-        if self.post == "normalize+activation":
-            count += 2 * self.c_out
-        return count
+        return sum(int(arr.size) for arr in self.params().values())
 
     def flops_estimate(self, h_in: int, w_in: int) -> int:
         """Single-image multiply-accumulate estimate at the given input extent.
@@ -252,11 +237,6 @@ class LdconvLayer:
         field = self.offset_w.reshape(2 * self.n, -1) @ self._windows(xp, out.h_out, out.w_out)
         field += self.offset_b[:, None]
         return field.reshape(b_n, 2 * self.n, out.h_out, out.w_out).astype(xp.dtype, copy=False)
-
-    def predict_offsets(self, x: Tensor4) -> OffsetField:
-        """Offset field for input x; output extent matches the layer's base grid."""
-        self._check_input(x)
-        return OffsetField(n=self.n, data=self._offset_conv(x, pad2d(x.data, self.padding)))
 
     def assemble_grid(self, offsets: OffsetField) -> SampleGrid:
         """Base anchors + initial coordinates + predicted offsets."""
@@ -335,7 +315,7 @@ class LdconvLayer:
         y = mixed
         if self.post == "normalize+activation":
             y, post_cache = self._post_forward(mixed)
-        cache = LayerCache(x=x, xp=xp_t.data, offsets=offsets, grid=grid,
+        cache = LayerCache(xp=xp_t.data, offsets=offsets, grid=grid,
                            sampled=sampled, mixed=mixed, post_cache=post_cache)
         return _owned(np.array(y)), cache
 
@@ -402,27 +382,15 @@ class LdconvLayer:
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: tensor container + JSON sidecar.  Vector parameters are
-# stored as rank-4 tensors with trailing singleton axes; the container holds
-# float32 only, so saving a layer of another dtype raises ValueError.
-
-
-def _as4(arr: np.ndarray, dims) -> Tensor4:
-    return Tensor4(arr.reshape(dims))
+# Checkpointing: one record per params() entry in a tensor container, plus a
+# JSON sidecar.  Vector parameters are stored as rank-4 tensors with trailing
+# singleton axes; the container holds float32 only, so saving a layer of
+# another dtype raises ValueError.
 
 
 def layer_records(layer: LdconvLayer) -> dict[str, Tensor4]:
-    records = {
-        "offset_w": _as4(layer.offset_w, (2 * layer.n, layer.c_in, 3, 3)),
-        "offset_b": _as4(layer.offset_b, (2 * layer.n, 1, 1, 1)),
-        "agg_w": _as4(layer.agg_w, (layer.c_out, layer.c_in, layer.n, 1)),
-    }
-    if layer.agg_b is not None:
-        records["agg_b"] = _as4(layer.agg_b, (layer.c_out, 1, 1, 1))
-    if layer.post == "normalize+activation":
-        records["post_scale"] = _as4(layer.post_scale, (layer.c_out, 1, 1, 1))
-        records["post_shift"] = _as4(layer.post_shift, (layer.c_out, 1, 1, 1))
-    return records
+    return {name: Tensor4(arr.reshape(arr.shape + (1,) * (4 - arr.ndim)))
+            for name, arr in layer.params().items()}
 
 
 def layer_sidecar(layer: LdconvLayer) -> dict:
@@ -431,9 +399,7 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
         "stride": layer.stride, "padding": layer.padding,
         "strategy": layer.strategy, "post": layer.post,
     }
-    if layer.shape_file is not None:
-        sidecar["shape_file"] = layer.shape_file
-    if layer.shape_file is not None or layer.geometry != gen_initial_coords(layer.n):
+    if layer.geometry != gen_initial_coords(layer.n):
         # the points themselves, so loading needs no file and no working directory
         sidecar["coords"] = [list(pair) for pair in layer.geometry.coords]
     return sidecar
@@ -441,46 +407,19 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
 
 def layer_from_records(records: dict[str, Tensor4], sidecar: dict,
                        dtype=np.float32) -> LdconvLayer:
-    n = int(sidecar["n"])
+    """Layer described by the sidecar with every params() entry read from records."""
+    geometry = None
     if sidecar.get("coords"):
         geometry = KernelGeometry(tuple((int(r), int(c)) for r, c in sidecar["coords"]))
     elif sidecar.get("shape_file"):
         raise ValueError(f"sidecar names shape file {sidecar['shape_file']!r} but records "
                          "no coords, so the kernel geometry cannot be restored")
-    else:
-        geometry = gen_initial_coords(n)
-    dtype = np.dtype(dtype)
-    c_in, c_out = int(sidecar["c_in"]), int(sidecar["c_out"])
-
-    def rec(name, dims):
+    layer = LdconvLayer.create(
+        int(sidecar["n"]), int(sidecar["c_in"]), int(sidecar["c_out"]),
+        stride=int(sidecar["stride"]), padding=int(sidecar["padding"]),
+        strategy=sidecar["strategy"], post=sidecar["post"], geometry=geometry, dtype=dtype)
+    for name, arr in layer.params().items():
         if name not in records:
             raise ValueError(f"checkpoint missing record {name!r}")
-        return np.array(records[name].data, dtype=dtype).reshape(dims)
-
-    with_post = sidecar["post"] == "normalize+activation"
-    return LdconvLayer(
-        n=n, c_in=c_in, c_out=c_out,
-        stride=int(sidecar["stride"]), padding=int(sidecar["padding"]),
-        geometry=geometry,
-        offset_w=rec("offset_w", (2 * n, c_in, 3, 3)),
-        offset_b=rec("offset_b", (2 * n,)),
-        agg_w=rec("agg_w", (c_out, c_in, n)),
-        agg_b=rec("agg_b", (c_out,)) if "agg_b" in records else None,
-        strategy=sidecar["strategy"], post=sidecar["post"],
-        shape_file=sidecar.get("shape_file"),
-        post_scale=rec("post_scale", (c_out,)) if with_post else None,
-        post_shift=rec("post_shift", (c_out,)) if with_post else None,
-    )
-
-
-def save_layer(layer: LdconvLayer, path) -> None:
-    path = Path(path)
-    write_tensors(path, layer_records(layer))
-    Path(str(path) + ".json").write_text(
-        json.dumps(layer_sidecar(layer), indent=2, sort_keys=True))
-
-
-def load_layer(path, dtype=np.float32) -> LdconvLayer:
-    path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    return layer_from_records(read_tensors(path), sidecar, dtype=dtype)
+        setattr(layer, name, np.array(records[name].data, dtype=dtype).reshape(arr.shape))
+    return layer

@@ -25,13 +25,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
-        return cls(command=raw["command"], config=raw["config"],
-                   timestamp=raw["timestamp"], metrics=raw["metrics"],
-                   artifacts=raw["artifacts"])
-
     def save(self, path) -> Path:
         path = Path(path)
         path.write_text(self.to_json())

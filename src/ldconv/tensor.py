@@ -75,10 +75,6 @@ class Tensor4:
             arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def from_values(cls, values, dtype=np.float32) -> "Tensor4":
-        return cls(np.asarray(values, dtype=dtype))
-
     @property
     def dims(self) -> tuple[int, int, int, int]:
         return self.data.shape
@@ -95,10 +91,6 @@ def _owned(arr: np.ndarray) -> Tensor4:
     # For freshly built arrays we own: mark read-only so Tensor4 skips the copy.
     arr.setflags(write=False)
     return Tensor4(arr)
-
-
-def zeros(dims, dtype=np.float32) -> Tensor4:
-    return _owned(np.zeros(_validated_dims(dims), dtype=dtype))
 
 
 def rand_uniform(dims, rng: Rng, lo: float = 0.0, hi: float = 1.0,

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .layer import (LdconvLayer, OffsetField, STRATEGIES, layer_from_records,
-                    layer_records, layer_sidecar)
+from .layer import (LdconvLayer, NonFiniteError, OffsetField, STRATEGIES,
+                    layer_from_records, layer_records, layer_sidecar)
 from .tensor import Rng, Tensor4, read_tensors, write_tensors
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -27,7 +27,7 @@ NUM_CLASSES = 10
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training produced a non-finite loss or offset field."""
 
 
 @dataclass(frozen=True)
@@ -85,19 +85,19 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(images, raw_labels.astype(np.int64))
 
 
-def synthetic_bars(count: int, rng: Rng, stream: str = "synthetic",
-                   size: int = 28, noise: float = 0.1) -> Dataset:
-    """Axis-aligned bar images in four classes.
+def synthetic_bars(count: int, rng: Rng, stream: str = "synthetic") -> Dataset:
+    """28x28 axis-aligned bar images in four classes.
 
     0: one horizontal bar, 1: one vertical bar, 2: two horizontal bars,
     3: two vertical bars.  Bars are full-span, 2-4 pixels thick, over a
-    low-amplitude uniform noise floor.
+    uniform noise floor in [0, 0.1).
     """
+    size = 28
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     gen = rng.stream(stream)
     images = (gen.random((count, 1, size, size), dtype=np.float32)
-              * np.float32(noise))
+              * np.float32(0.1))
     labels = gen.integers(0, 4, size=count).astype(np.int64)
     for i in range(count):
         label = int(labels[i])
@@ -132,16 +132,15 @@ class TinyNet:
     @classmethod
     def create(cls, n1: int = 5, n2: int = 5, strategy: str = "channel-stack-1x1",
                post: str = "normalize+activation", rng: Rng | None = None,
-               dtype=np.float32, geometry1=None, geometry2=None,
-               shape_file: str | None = None) -> "TinyNet":
+               dtype=np.float32, geometry1=None, geometry2=None) -> "TinyNet":
         rng = rng if rng is not None else Rng(0)
         dtype = np.dtype(dtype)
         ld1 = LdconvLayer.create(n1, 1, 8, stride=2, strategy=strategy, post=post,
                                  rng=rng, dtype=dtype, name="ld1",
-                                 geometry=geometry1, shape_file=shape_file)
+                                 geometry=geometry1)
         ld2 = LdconvLayer.create(n2, 8, 16, stride=2, strategy=strategy, post=post,
                                  rng=rng, dtype=dtype, name="ld2",
-                                 geometry=geometry2, shape_file=shape_file)
+                                 geometry=geometry2)
         bound = float(np.sqrt(1.0 / 16))
         fc_w = rng.stream("fc/w").uniform(-bound, bound,
                                           size=(NUM_CLASSES, 16)).astype(dtype)
@@ -195,14 +194,7 @@ class TinyNet:
 
 
 def _layer_grads_dict(layer: LdconvLayer, grads) -> dict[str, np.ndarray]:
-    out = {"offset_w": grads.offset_w, "offset_b": grads.offset_b,
-           "agg_w": grads.agg_w}
-    if layer.agg_b is not None:
-        out["agg_b"] = grads.agg_b
-    if layer.post == "normalize+activation":
-        out["post_scale"] = grads.post_scale
-        out["post_shift"] = grads.post_shift
-    return out
+    return {name: getattr(grads, name) for name in layer.params()}
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -292,46 +284,51 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
     """SGD loop; returns per-epoch curves and the offset fields of one batch.
 
     final_acc is the held-out accuracy when eval_dataset is given, otherwise
-    the final accuracy on the training subset.  Raises DivergenceError as soon
-    as a batch loss is non-finite.
+    the final accuracy on the training subset.  Raises DivergenceError, naming
+    the epoch and batch, as soon as a batch loss or an offset field is
+    non-finite.
     """
     data = dataset.take(config.subset)
     rng = Rng(config.seed)
     losses: list[float] = []
     accs: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.stream(f"shuffle/{epoch:05d}").permutation(len(data))
-        epoch_loss = 0.0
-        epoch_hits = 0
-        batches = 0
-        for start in range(0, len(data), config.batch):
-            take = order[start:start + config.batch]
-            logits, cache = net.forward(data.images[take])
-            loss, dlogits = softmax_cross_entropy(logits, data.labels[take])
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch + 1}, batch {batches + 1}")
-            grads = net.backward(cache, dlogits)
-            params = net.params()
-            for name, grad in grads.items():
-                params[name] -= np.asarray(config.lr * grad, dtype=net.dtype)
-            epoch_loss += loss
-            epoch_hits += int((np.argmax(logits, axis=1) == data.labels[take]).sum())
-            batches += 1
-        losses.append(epoch_loss / batches)
-        accs.append(epoch_hits / len(data))
+    try:
+        for epoch in range(config.epochs):
+            order = rng.stream(f"shuffle/{epoch:05d}").permutation(len(data))
+            epoch_loss = 0.0
+            epoch_hits = 0
+            batches = 0
+            for start in range(0, len(data), config.batch):
+                where = f"epoch {epoch + 1}, batch {batches + 1}"
+                take = order[start:start + config.batch]
+                logits, cache = net.forward(data.images[take])
+                loss, dlogits = softmax_cross_entropy(logits, data.labels[take])
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss at {where}")
+                grads = net.backward(cache, dlogits)
+                params = net.params()
+                for name, grad in grads.items():
+                    params[name] -= np.asarray(config.lr * grad, dtype=net.dtype)
+                epoch_loss += loss
+                epoch_hits += int((np.argmax(logits, axis=1) == data.labels[take]).sum())
+                batches += 1
+            losses.append(epoch_loss / batches)
+            accs.append(epoch_hits / len(data))
 
-    final_train_acc = evaluate(net, data)
-    final_acc = evaluate(net, eval_dataset) if eval_dataset is not None else final_train_acc
-    final_loss = 0.0
-    for start in range(0, len(data), config.batch):
-        logits, _ = net.forward(data.images[start:start + config.batch])
-        batch_loss, _ = softmax_cross_entropy(logits, data.labels[start:start + config.batch])
-        final_loss += batch_loss * len(logits)
-    final_loss /= len(data)
-    probe_src = eval_dataset if eval_dataset is not None else data
-    probe = probe_src.images[:min(config.batch, len(probe_src))]
-    ao_batch = net.offset_fields(probe)
+        where = f"the evaluation after epoch {config.epochs}"
+        final_train_acc = evaluate(net, data)
+        final_acc = evaluate(net, eval_dataset) if eval_dataset is not None else final_train_acc
+        final_loss = 0.0
+        for start in range(0, len(data), config.batch):
+            logits, _ = net.forward(data.images[start:start + config.batch])
+            batch_loss, _ = softmax_cross_entropy(logits, data.labels[start:start + config.batch])
+            final_loss += batch_loss * len(logits)
+        final_loss /= len(data)
+        probe_src = eval_dataset if eval_dataset is not None else data
+        probe = probe_src.images[:min(config.batch, len(probe_src))]
+        ao_batch = net.offset_fields(probe)
+    except NonFiniteError as exc:
+        raise DivergenceError(f"{exc} at {where}") from exc
     result = TrainResult(loss=losses, acc=accs, final_loss=float(final_loss),
                          final_acc=final_acc,
                          final_train_acc=final_train_acc,

@@ -21,7 +21,7 @@ from ldconv.geometry import (
     load_custom_shape,
 )
 from ldconv.layer import LdconvLayer
-from ldconv.tensor import Tensor4
+from ldconv.tensor import ShapeError, Tensor4
 
 
 def coords_by_direct_construction(n):
@@ -101,9 +101,8 @@ def test_geometry_rejects_fractional():
         KernelGeometry(((0, 0), (0.5, 1)))
 
 
-def test_geometry_extent_and_vectors():
+def test_geometry_row_and_col_vectors():
     geo = KernelGeometry(((0, 0), (2, 1), (1, 3)))
-    assert geo.extent() == (3, 4)
     assert geo.rows().tolist() == [0, 2, 1]
     assert geo.cols().tolist() == [0, 1, 3]
 
@@ -122,13 +121,14 @@ SHAPE_TEXT = """\
 
 
 def test_load_custom_shape_parses_comments_and_blanks():
-    geo = load_custom_shape(SHAPE_TEXT, n_expected=5)
+    geo = load_custom_shape(SHAPE_TEXT)
     assert geo.coords == ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 
 
 def test_load_custom_shape_count_mismatch():
-    with pytest.raises(ShapeFileError, match="expected 4 coordinates, got 5"):
-        load_custom_shape(SHAPE_TEXT, n_expected=4)
+    # the point count is checked where the shape meets a layer of a given n
+    with pytest.raises(ShapeError, match="geometry has 5 points, layer expects 4"):
+        LdconvLayer.create(4, 1, 1, geometry=load_custom_shape(SHAPE_TEXT))
 
 
 def test_load_custom_shape_bad_lines():
@@ -173,7 +173,7 @@ def test_base_grid_anchors_are_stride_multiples(h_in, stride, pad):
     grid = base_grid(h_in, h_in, stride=stride, pad=pad)
     layer = LdconvLayer.create(1, 1, 1, stride=stride, padding=pad)
     x = Tensor4(np.zeros((1, 1, h_in, h_in), dtype=np.float32))
-    sample = layer.assemble_grid(layer.predict_offsets(x))
+    sample = layer.forward(x)[1].grid
     assert sample.dims == (1, 1, grid.h_out, grid.w_out)
     anchors = sample.rows[0, 0, :, 0]
     assert np.all(anchors % stride == 0)

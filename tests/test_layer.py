@@ -1,5 +1,7 @@
 """Deformable layer: offsets, grid assembly, aggregation, and gradients."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from ldconv.gradcheck import check_layer_gradients
 from ldconv.geometry import KernelGeometry, gen_initial_coords
 from ldconv.cli import REL_TOL_STRATEGY
-from ldconv.layer import LdconvLayer, OffsetField, load_layer, save_layer
-from ldconv.tensor import Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform
+from ldconv.layer import (LdconvLayer, OffsetField, layer_from_records, layer_records,
+                          layer_sidecar)
+from ldconv.tensor import (Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform,
+                           read_tensors, write_tensors)
 
 
 def _rel_dev(a, b):
@@ -23,6 +27,17 @@ def _randomized(layer, rng, w_scale=0.1, b_scale=0.5):
     layer.offset_b = rng.stream("offb").uniform(
         -b_scale, b_scale, size=layer.offset_b.shape).astype(layer.dtype)
     return layer
+
+
+def _offsets(layer, x):
+    return layer.forward(x)[1].offsets
+
+
+def _round_trip(layer, path):
+    """Write the layer's records and sidecar to disk and rebuild it from them."""
+    write_tensors(path, layer_records(layer))
+    sidecar = json.loads(json.dumps(layer_sidecar(layer)))
+    return layer_from_records(read_tensors(path), sidecar)
 
 
 # -- the paper's other two channel-mix layouts, as oracles ---------------------
@@ -70,14 +85,14 @@ def layout_deviation(layer, x):
 
 def test_zero_weights_give_zero_offsets():
     layer = LdconvLayer.create(5, 3, 4)
-    field = layer.predict_offsets(rand_uniform((2, 3, 8, 8), Rng(0)))
+    field = _offsets(layer, rand_uniform((2, 3, 8, 8), Rng(0)))
     assert field.data.shape == (2, 10, 8, 8)
     assert np.all(field.data == 0.0)
 
 
 def test_offset_field_dims_with_stride():
     layer = LdconvLayer.create(5, 3, 4, stride=2)
-    field = layer.predict_offsets(rand_uniform((1, 3, 8, 8), Rng(0)))
+    field = _offsets(layer, rand_uniform((1, 3, 8, 8), Rng(0)))
     assert field.data.shape == (1, 10, 4, 4)
 
 
@@ -90,7 +105,7 @@ def test_offset_field_validation():
 
 def test_identity_grid_for_single_point_kernel():
     layer = LdconvLayer.create(1, 1, 1)
-    field = layer.predict_offsets(rand_uniform((1, 1, 4, 4), Rng(0)))
+    field = _offsets(layer, rand_uniform((1, 1, 4, 4), Rng(0)))
     grid = layer.assemble_grid(field)
     for i in range(4):
         for j in range(4):
@@ -100,7 +115,7 @@ def test_identity_grid_for_single_point_kernel():
 
 def test_default_five_point_footprint():
     layer = LdconvLayer.create(5, 1, 1)
-    field = layer.predict_offsets(rand_uniform((1, 1, 4, 4), Rng(0)))
+    field = _offsets(layer, rand_uniform((1, 1, 4, 4), Rng(0)))
     grid = layer.assemble_grid(field)
     i, j = 2, 1
     got = {(float(grid.rows[0, n, i, j]), float(grid.cols[0, n, i, j]))
@@ -111,11 +126,10 @@ def test_default_five_point_footprint():
 def test_constant_offset_shifts_grid():
     layer = LdconvLayer.create(3, 1, 1)
     layer.offset_b = np.full(6, 0.5, dtype=np.float32)
-    field = layer.predict_offsets(Tensor4.from_values(np.zeros((1, 1, 3, 3))))
-    grid = layer.assemble_grid(field)
+    x = Tensor4(np.zeros((1, 1, 3, 3), dtype=np.float32))
+    grid = layer.assemble_grid(_offsets(layer, x))
     base = LdconvLayer.create(3, 1, 1)
-    base_grid_ = base.assemble_grid(base.predict_offsets(
-        Tensor4.from_values(np.zeros((1, 1, 3, 3)))))
+    base_grid_ = base.assemble_grid(_offsets(base, x))
     assert np.allclose(grid.rows, base_grid_.rows + 0.5)
     assert np.allclose(grid.cols, base_grid_.cols + 0.5)
 
@@ -124,7 +138,7 @@ def test_constant_offset_shifts_grid():
 
 
 def test_aggregate_identity_mix():
-    layer = LdconvLayer.create(1, 3, 3, agg_bias=False)
+    layer = LdconvLayer.create(1, 3, 3)
     layer.agg_w = np.zeros((3, 3, 1), dtype=np.float32)
     for c in range(3):
         layer.agg_w[c, c, 0] = 1.0
@@ -211,7 +225,8 @@ def test_zero_offsets_match_padded_reference_conv():
 
 
 def test_forward_linear_in_x_with_frozen_zero_offsets():
-    layer = LdconvLayer.create(6, 2, 3, agg_bias=False, rng=Rng(4))
+    layer = LdconvLayer.create(6, 2, 3, rng=Rng(4))
+    assert np.all(layer.agg_b == 0.0)
     gen = Rng(5)
     x = rand_uniform((1, 2, 5, 5), gen, stream="x")
     y = rand_uniform((1, 2, 5, 5), gen, stream="y")
@@ -340,11 +355,15 @@ def test_param_count_growth_is_linear():
 
 
 def test_param_count_variants():
-    no_bias = LdconvLayer.create(5, 16, 32, agg_bias=False)
-    assert no_bias.param_count() == 4042 - 32
     post = LdconvLayer.create(5, 16, 32, post="normalize+activation")
     # the post stage drops the aggregation bias and adds scale+shift
     assert post.param_count() == 4042 - 32 + 2 * 32
+    assert list(post.params()) == ["offset_w", "offset_b", "agg_w", "post_scale",
+                                   "post_shift"]
+    assert list(LdconvLayer.create(5, 16, 32).params()) == ["offset_w", "offset_b",
+                                                            "agg_w", "agg_b"]
+    with pytest.raises(ValueError, match="bias"):
+        LdconvLayer(**{**vars(post), "agg_b": np.zeros(32, dtype=np.float32)})
 
 
 def test_flops_estimate_formula():
@@ -370,22 +389,22 @@ def test_layer_checkpoint_round_trip(tmp_path):
     layer = _randomized(
         LdconvLayer.create(5, 2, 3, stride=2, padding=1,
                            post="normalize+activation", rng=Rng(11)), Rng(11))
-    path = tmp_path / "layer.ldt"
-    save_layer(layer, path)
-    assert (tmp_path / "layer.ldt.json").exists()
-    back = load_layer(path)
+    back = _round_trip(layer, tmp_path / "layer.ldt")
     assert (back.n, back.c_in, back.c_out) == (5, 2, 3)
     assert (back.stride, back.padding) == (2, 1)
     assert back.post == "normalize+activation"
     assert back.geometry.coords == layer.geometry.coords
     x = rand_uniform((2, 2, 6, 6), Rng(12))
     assert np.array_equal(layer.forward(x)[0].data, back.forward(x)[0].data)
+    records = layer_records(layer)
+    del records["post_scale"]
+    with pytest.raises(ValueError, match="missing record 'post_scale'"):
+        layer_from_records(records, layer_sidecar(layer))
 
 
 def test_layer_checkpoint_custom_geometry(tmp_path):
     geo = KernelGeometry(((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)))
     layer = LdconvLayer.create(5, 1, 2, geometry=geo, rng=Rng(13))
-    path = tmp_path / "plus.ldt"
-    save_layer(layer, path)
-    back = load_layer(path)
+    assert "coords" not in layer_sidecar(LdconvLayer.create(5, 1, 2))
+    back = _round_trip(layer, tmp_path / "plus.ldt")
     assert back.geometry.coords == geo.coords

@@ -21,7 +21,7 @@ def _single_point(row, col):
 
 def test_hand_interpolated_value():
     # 1x3 map [0, 10, 20]; reading at column 1.25 mixes 0.75*10 + 0.25*20.
-    x = Tensor4.from_values([[[[0.0, 10.0, 20.0]]]], dtype=np.float64)
+    x = Tensor4(np.array([[[[0.0, 10.0, 20.0]]]]))
     out = bilinear_sample(x, _single_point(0.0, 1.25))
     assert out.shape == (1, 1, 1, 1, 1)
     assert out[0, 0, 0, 0, 0] == pytest.approx(12.5, abs=1e-12)
@@ -43,7 +43,7 @@ def test_integer_coordinates_reproduce_pixels():
 
 
 def test_out_of_range_coordinates_clamp():
-    x = Tensor4.from_values([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float64)
+    x = Tensor4(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
     low = bilinear_sample(x, _single_point(-7.5, -2.0))
     high = bilinear_sample(x, _single_point(9.0, 55.25))
     assert low[0, 0, 0, 0, 0] == 1.0    # clamps onto (0, 0)
@@ -79,7 +79,7 @@ def test_partition_of_unity(t, u):
 
 def test_constant_map_samples_constant_everywhere():
     # A direct consequence of the four weights summing to one.
-    x = Tensor4.from_values(np.full((1, 1, 4, 4), 3.25), dtype=np.float64)
+    x = Tensor4(np.full((1, 1, 4, 4), 3.25))
     rows = Rng(4).stream("r").uniform(-1, 5, size=(1, 8, 2, 2))
     cols = Rng(4).stream("c").uniform(-1, 5, size=(1, 8, 2, 2))
     out = bilinear_sample(x, _grid(rows, cols))
@@ -93,20 +93,20 @@ def test_grid_validation():
         SampleGrid(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 2, 1)))
     with pytest.raises(ShapeError):
         SampleGrid(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
-    x = Tensor4.from_values(np.zeros((2, 1, 3, 3)), dtype=np.float64)
+    x = Tensor4(np.zeros((2, 1, 3, 3)))
     with pytest.raises(ShapeError, match="batch"):
         bilinear_sample(x, _single_point(0.0, 0.0))
 
 
 def test_backward_rejects_bad_upstream():
-    x = Tensor4.from_values(np.zeros((1, 2, 3, 3)), dtype=np.float64)
+    x = Tensor4(np.zeros((1, 2, 3, 3)))
     grid = _single_point(1.0, 1.0)
     with pytest.raises(ShapeError, match="upstream"):
         bilinear_backward(x, grid, np.zeros((1, 2, 2, 1, 1)))
 
 
 def test_backward_grad_x_scatters_corner_weights():
-    x = Tensor4.from_values(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3))
+    x = Tensor4(np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3))
     grid = _single_point(0.5, 1.25)
     up = np.ones((1, 1, 1, 1, 1))
     grad_x, grad_rows, grad_cols = bilinear_backward(x, grid, up)
@@ -126,7 +126,7 @@ def test_backward_grad_x_scatters_corner_weights():
 
 
 def test_backward_zeroes_coordinate_grads_outside_range():
-    x = Tensor4.from_values(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
+    x = Tensor4(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
     grid = _grid([[[[-3.0, 1.5]]]], [[[[1.5, 9.0]]]])
     up = np.ones((1, 1, 1, 1, 2))
     _, grad_rows, grad_cols = bilinear_backward(x, grid, up)

@@ -12,7 +12,6 @@ from ldconv.tensor import (
     rand_uniform,
     read_tensors,
     write_tensors,
-    zeros,
 )
 
 
@@ -67,14 +66,6 @@ def test_tensor_is_immutable_and_detached():
         t.data[0, 0, 0, 0] = 5.0
 
 
-def test_zeros_examples():
-    assert np.array_equal(zeros((1, 1, 2, 2)).data[0, 0], [[0, 0], [0, 0]])
-    empty = zeros((0, 3, 4, 4))
-    assert empty.dims == (0, 3, 4, 4)
-    assert empty.data.size == 0
-    assert zeros((2, 1, 1, 1)).data.ravel().tolist() == [0.0, 0.0]
-
-
 def test_flat_index_formula():
     # storage is row-major with width fastest, whatever the source layout
     source = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(5, 4, 3, 2).transpose()
@@ -117,7 +108,7 @@ def test_conv_reference_one_by_one_scales():
 
 
 def test_conv_reference_sum_of_ones():
-    x = Tensor4.from_values(np.ones((1, 1, 3, 3), dtype=np.float32))
+    x = Tensor4(np.ones((1, 1, 3, 3), dtype=np.float32))
     w = np.ones((1, 1, 3, 3), dtype=np.float32)
     y = conv2d_reference(x, w)
     assert y.dims == (1, 1, 1, 1)
@@ -125,14 +116,14 @@ def test_conv_reference_sum_of_ones():
 
 
 def test_conv_reference_hand_summed_strided_case():
-    x = Tensor4.from_values(np.arange(1, 17, dtype=np.float32).reshape(1, 1, 4, 4))
+    x = Tensor4(np.arange(1, 17, dtype=np.float32).reshape(1, 1, 4, 4))
     w = np.ones((1, 1, 2, 2), dtype=np.float32)
     y = conv2d_reference(x, w, stride=2)
     assert np.array_equal(y.data[0, 0], [[14.0, 22.0], [46.0, 54.0]])
 
 
 def test_conv_reference_bias_and_anchor():
-    x = Tensor4.from_values(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
+    x = Tensor4(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
     w = np.zeros((1, 1, 3, 3), dtype=np.float32)
     w[0, 0, 1, 1] = 1.0  # pick out the window centre
     centered = conv2d_reference(x, w, bias=[0.5], pad=1, anchor="center")
@@ -166,7 +157,7 @@ def test_conv_reference_translation_consistency():
 
 
 def test_conv_reference_validation():
-    x = zeros((1, 2, 4, 4))
+    x = Tensor4(np.zeros((1, 2, 4, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="c_in"):
         conv2d_reference(x, np.ones((1, 3, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="stride"):
@@ -203,7 +194,7 @@ def test_container_bad_magic(tmp_path):
 
 def test_container_truncation(tmp_path):
     path = tmp_path / "weights.ldt"
-    write_tensors(path, {"a": zeros((1, 1, 2, 2))})
+    write_tensors(path, {"a": Tensor4(np.zeros((1, 1, 2, 2), dtype=np.float32))})
     blob = path.read_bytes()
     clipped = tmp_path / "clipped.ldt"
     clipped.write_bytes(blob[:-5])

@@ -1,5 +1,6 @@
 """Training harness: data loading, the two-layer net, and the SGD loop."""
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from ldconv.geometry import load_custom_shape
-from ldconv.layer import save_layer
-from ldconv.tensor import Rng
+from ldconv.layer import LdconvLayer, layer_records, layer_sidecar
+from ldconv.tensor import Rng, write_tensors
 from ldconv.training import (
     Dataset,
     DivergenceError,
@@ -236,6 +237,16 @@ def test_divergence_raises():
         train(net, data, cfg)
 
 
+def test_non_finite_offsets_raise_divergence():
+    # one step at lr=1e30 overflows the activations; the offset field of the
+    # evaluation that follows is non-finite
+    data = synthetic_bars(8, Rng(10))
+    cfg = TrainConfig(epochs=1, subset=8, batch=8, lr=1e30)
+    with np.errstate(all="ignore"), \
+            pytest.raises(DivergenceError, match="non-finite values at the evaluation"):
+        train(_net(cfg), data, cfg)
+
+
 def test_train_result_metrics_shape():
     data = synthetic_bars(16, Rng(11))
     cfg = TrainConfig(epochs=3, subset=16, batch=8)
@@ -290,7 +301,7 @@ def test_checkpoints_refuse_float64(tmp_path):
     with pytest.raises(ValueError, match="float32 only"):
         save_net(net, tmp_path / "net.ldt")
     with pytest.raises(ValueError, match="float32 only"):
-        save_layer(net.ld1, tmp_path / "layer.ldt")
+        write_tensors(tmp_path / "layer.ldt", layer_records(net.ld1))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -298,25 +309,59 @@ def test_shape_file_checkpoint_loads_from_any_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parent.parent)
     rel = "shapes/plus_5.txt"
     geo = load_custom_shape(Path(rel).read_text())
-    net = TinyNet.create(geometry1=geo, geometry2=geo, shape_file=rel)
+    net = TinyNet.create(geometry1=geo, geometry2=geo)
     path = tmp_path / "net.ldt"
     save_net(net, path)
     monkeypatch.chdir(tmp_path)
     back, _ = load_net(path)
     assert back.ld1.geometry == back.ld2.geometry == geo
-    assert back.ld1.shape_file == rel
-    # a sidecar that names the file but records no points cannot be trusted
+    # a sidecar that names a shape file but records no points cannot be trusted
     sidecar = json.loads(Path(str(path) + ".json").read_text())
     del sidecar["ld1"]["coords"]
+    sidecar["ld1"]["shape_file"] = rel
     Path(str(path) + ".json").write_text(json.dumps(sidecar))
     with pytest.raises(ValueError, match="coords"):
         load_net(path)
 
 
 def test_load_net_rejects_layer_checkpoint(tmp_path):
-    from ldconv.layer import LdconvLayer, save_layer
-
+    layer = LdconvLayer.create(3, 1, 2)
     path = tmp_path / "layer.ldt"
-    save_layer(LdconvLayer.create(3, 1, 2), path)
+    write_tensors(path, layer_records(layer))
+    Path(str(path) + ".json").write_text(json.dumps(layer_sidecar(layer)))
     with pytest.raises(ValueError, match="not a network checkpoint"):
         load_net(path)
+
+
+# sha256 of the container and the sidecar that save_net writes for
+# TinyNet.create(rng=Rng(7), post=..., geometry1=g, geometry2=g): any change to
+# the record names, order, dims, payload or sidecar keys shows up here.
+_CHECKPOINT_SHA256 = {
+    ("default", None): (
+        "5485dd766d9cc1541e54b487811378838f9b675c495c1a78a4746582bdf88809",
+        "bf803afa2ef1e0fcfea4efa78f47f20fda45d74031813abb168eb873e93bd7de"),
+    ("default", "plus_5"): (
+        "5485dd766d9cc1541e54b487811378838f9b675c495c1a78a4746582bdf88809",
+        "4dd53fe387995e52e87851bb4cf4a66bccedbbb278d9eb2ab0889b1461af4dca"),
+    ("none", None): (
+        "2e15509a7e10737e41cbe23780cbee2d798eb69b6626530b13bb44811ab87a85",
+        "9d698810922d1e122d49c1ef0a5f2e54bc28f997512d6eab95fbe0226aedbed5"),
+    ("none", "plus_5"): (
+        "2e15509a7e10737e41cbe23780cbee2d798eb69b6626530b13bb44811ab87a85",
+        "4917126d65fa49a9093bdc013b279cf5ba64cfcadf24cef07f51f3915f48beb2"),
+}
+
+
+@pytest.mark.parametrize(("post", "shape"), sorted(_CHECKPOINT_SHA256, key=str))
+def test_checkpoint_bytes_are_pinned(tmp_path, post, shape):
+    geo = None
+    if shape is not None:
+        root = Path(__file__).resolve().parent.parent
+        geo = load_custom_shape((root / "shapes" / f"{shape}.txt").read_text())
+    kwargs = {} if post == "default" else {"post": post}
+    net = TinyNet.create(rng=Rng(7), geometry1=geo, geometry2=geo, **kwargs)
+    path = tmp_path / "net.ldt"
+    save_net(net, path)
+    got = (hashlib.sha256(path.read_bytes()).hexdigest(),
+           hashlib.sha256(Path(str(path) + ".json").read_bytes()).hexdigest())
+    assert got == _CHECKPOINT_SHA256[(post, shape)]

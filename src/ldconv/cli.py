@@ -132,18 +132,29 @@ def _cmd_bench(args) -> int:
     layer.offset_b = rng.stream("bench/offb").uniform(
         -0.5, 0.5, size=layer.offset_b.shape).astype(np.float32)
     x = rand_uniform(dims, rng, stream="bench/x")
+    y, _ = layer.forward(x)
+    upstream = rand_uniform(y.dims, rng, lo=-1.0, hi=1.0, stream="bench/upstream")
 
     for _ in range(args.warmup):
-        layer.forward(x)
-    times = []
+        layer.backward(layer.forward(x)[1], upstream)
+    forward_ms, backward_ms = [], []
     for _ in range(args.iters):
         begin = time.perf_counter()
-        layer.forward(x)
-        times.append((time.perf_counter() - begin) * 1e3)
-    times.sort()
-    p90 = times[min(len(times) - 1, max(0, -(-9 * len(times) // 10) - 1))]
-    metrics = {"median_ms": statistics.median(times), "p90_ms": p90}
-    print(f"forward median={metrics['median_ms']:8.3f} ms  p90={metrics['p90_ms']:8.3f} ms")
+        _, cache = layer.forward(x)
+        middle = time.perf_counter()
+        layer.backward(cache, upstream)
+        end = time.perf_counter()
+        forward_ms.append((middle - begin) * 1e3)
+        backward_ms.append((end - middle) * 1e3)
+    metrics = {}
+    p90_rank = min(args.iters - 1, max(0, -(-9 * args.iters // 10) - 1))
+    for prefix, times in (("", forward_ms), ("backward_", backward_ms)):
+        times.sort()
+        metrics[prefix + "median_ms"] = statistics.median(times)
+        metrics[prefix + "p90_ms"] = times[p90_rank]
+    print(f"forward  median={metrics['median_ms']:8.3f} ms  p90={metrics['p90_ms']:8.3f} ms")
+    print(f"backward median={metrics['backward_median_ms']:8.3f} ms  "
+          f"p90={metrics['backward_p90_ms']:8.3f} ms")
     if args.out:
         RunReport(
             command="bench",
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write a JSON report here")
     p.set_defaults(func=_cmd_check_grad)
 
-    p = sub.add_parser("bench", help="time the layer forward")
+    p = sub.add_parser("bench", help="time the layer forward and backward")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--c-in", type=int, default=8)
     p.add_argument("--c-out", type=int, default=16)

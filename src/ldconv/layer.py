@@ -236,7 +236,9 @@ class LdconvLayer:
         out = base_grid(h_in, w_in, stride=self.stride, pad=self.padding)
         field = self.offset_w.reshape(2 * self.n, -1) @ self._windows(xp, out.h_out, out.w_out)
         field += self.offset_b[:, None]
-        return field.reshape(b_n, 2 * self.n, out.h_out, out.w_out).astype(xp.dtype, copy=False)
+        field = field.reshape(b_n, 2 * self.n, out.h_out, out.w_out).astype(xp.dtype, copy=False)
+        field.setflags(write=False)   # fresh and ours: OffsetField keeps it without a copy
+        return field
 
     def assemble_grid(self, offsets: OffsetField) -> SampleGrid:
         """Base anchors + initial coordinates + predicted offsets."""
@@ -252,6 +254,8 @@ class LdconvLayer:
             + row_anchor[None, None, :, None]
         cols = offsets.col_offsets() + geo_c[None, :, None, None] \
             + col_anchor[None, None, None, :]
+        rows.setflags(write=False)    # fresh and ours: SampleGrid keeps them without a copy
+        cols.setflags(write=False)
         return SampleGrid(rows=rows, cols=cols)
 
     def aggregate(self, sampled: np.ndarray) -> np.ndarray:

@@ -9,6 +9,21 @@ u = s - s0, the sample is
 The coordinate gradient is zero wherever the raw coordinate fell outside the
 clamp range (the clamp is flat there); at exact lattice points the floor-based
 cell supplies the subgradient.
+
+Every channel shares a sample's coordinates, so both directions work on a
+channels-last view of the input: row (b*H + h)*W + w of a (B*H*W, C) matrix
+holds the C values of one pixel.  One plan per call clamps the grid once and
+gives each sample its top-left corner row, the steps to the other three
+corners and the fractions t, u.  The forward gathers whole rows one corner at
+a time and accumulates them; a stacked four-corner gather would raise peak
+memory.  The backward gathers the four corners together, contracts them with
+the upstream over C for the coordinate gradients, and scatters the input
+gradient with one float64 bincount per channel over the shared corner index,
+so the sum is accumulated in float64 in a fixed order whatever the dtype.
+The backward rebuilds the plan rather than have forward cache it: four
+int64 indices and four weights per sample are 12x the float32 samples of a
+one-channel input, which inference would carry for a backward it never runs,
+while the rebuild is a few elementwise passes over the grid.
 """
 
 from __future__ import annotations
@@ -47,50 +62,60 @@ class SampleGrid:
         return self.rows.shape
 
 
-def _corners(x_arr: np.ndarray, grid: SampleGrid):
-    """Clamp coordinates and derive corner indices, weights, and gathers."""
+def _plan(x_arr: np.ndarray, grid: SampleGrid):
+    """Four-corner interpolation plan of one sampling call.
+
+    Returns the channels-last rows (B*H*W, C) of x; per sample (B, P), with
+    P = N*H_out*W_out, the row of the top-left corner, the steps from it to
+    the lower and to the right corners (W resp. 1, or 0 on the last row resp.
+    column, which is r1 = min(r0 + 1, H-1)); and the fractions t, u.
+    """
     b_n, c_n, h_in, w_in = x_arr.shape
     dtype = x_arr.dtype
-    r = np.clip(grid.rows.astype(dtype, copy=False), dtype.type(0), dtype.type(h_in - 1))
-    s = np.clip(grid.cols.astype(dtype, copy=False), dtype.type(0), dtype.type(w_in - 1))
-    r0f = np.floor(r)
-    s0f = np.floor(s)
-    t = r - r0f
-    u = s - s0f
-    r0 = r0f.astype(np.int64)
-    s0 = s0f.astype(np.int64)
-    r1 = np.minimum(r0 + 1, h_in - 1)
-    s1 = np.minimum(s0 + 1, w_in - 1)
-    return r0, r1, s0, s1, t, u
+    t = np.clip(grid.rows.reshape(b_n, -1), dtype.type(0), dtype.type(h_in - 1), dtype=dtype)
+    u = np.clip(grid.cols.reshape(b_n, -1), dtype.type(0), dtype.type(w_in - 1), dtype=dtype)
+    r0 = np.floor(t)
+    s0 = np.floor(u)
+    t -= r0
+    u -= s0
+    down = np.where(r0 < h_in - 1, w_in, 0)
+    right = np.where(s0 < w_in - 1, 1, 0)
+    top_left = r0.astype(np.int64)
+    top_left *= w_in
+    top_left += s0.astype(np.int64)
+    top_left += np.arange(b_n, dtype=np.int64)[:, None] * (h_in * w_in)
+    rows = np.ascontiguousarray(x_arr.transpose(0, 2, 3, 1)).reshape(-1, c_n)
+    return rows, top_left, down, right, t, u
 
 
-def _gather(x_arr: np.ndarray, ridx: np.ndarray, sidx: np.ndarray) -> np.ndarray:
-    """Gather x[b, :, ridx, sidx] for index arrays of shape (B, N, Ho, Wo)."""
-    b_n, c_n, h_in, w_in = x_arr.shape
-    b0, n_pts, h_out, w_out = ridx.shape
-    flat = (ridx * w_in + sidx).reshape(b0, -1)
-    x_flat = x_arr.reshape(b_n, c_n, h_in * w_in)
-    # advanced indices at positions 0 and 2 put their broadcast shape first
-    gathered = x_flat[np.arange(b_n)[:, None], :, flat]        # (B, P, C)
-    return gathered.transpose(0, 2, 1).reshape(b_n, c_n, n_pts, h_out, w_out)
+def _weights(t: np.ndarray, u: np.ndarray):
+    """Bilinear weights of the top-left, right, lower and lower-right corners."""
+    one = t.dtype.type(1)
+    t1 = one - t
+    u1 = one - u
+    return t1 * u1, t1 * u, t * u1, t * u
 
 
 def bilinear_sample(x: Tensor4, grid: SampleGrid) -> np.ndarray:
     """Sample x at grid coordinates; returns (B, C, N, H_out, W_out)."""
     if grid.dims[0] != x.dims[0]:
         raise ShapeError(f"grid batch {grid.dims[0]} != input batch {x.dims[0]}")
-    x_arr = x.data
-    r0, r1, s0, s1, t, u = _corners(x_arr, grid)
-    g00 = _gather(x_arr, r0, s0)
-    g01 = _gather(x_arr, r0, s1)
-    g10 = _gather(x_arr, r1, s0)
-    g11 = _gather(x_arr, r1, s1)
-    one = x_arr.dtype.type(1)
-    w00 = ((one - t) * (one - u))[:, None]
-    w01 = ((one - t) * u)[:, None]
-    w10 = (t * (one - u))[:, None]
-    w11 = (t * u)[:, None]
-    return w00 * g00 + w01 * g01 + w10 * g10 + w11 * g11
+    b_n, c_n = x.dims[:2]
+    rows, top_left, down, right, t, u = _plan(x.data, grid)
+    w00, w01, w10, w11 = _weights(t, u)
+    # one corner at a time: a stacked (4, B, P, C) gather raises peak memory
+    out = np.take(rows, top_left, axis=0)                 # (B, P, C)
+    out *= w00[:, :, None]
+    term = np.empty_like(out)
+    for index, weight in ((top_left + right, w01), (top_left + down, w10),
+                          (top_left + down + right, w11)):
+        # in range by construction; mode 'raise' would buffer the out array
+        np.take(rows, index, axis=0, out=term, mode="clip")
+        term *= weight[:, :, None]
+        out += term
+    del term
+    out = np.ascontiguousarray(out.transpose(0, 2, 1))
+    return out.reshape((b_n, c_n) + grid.dims[1:])
 
 
 def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray):
@@ -107,39 +132,35 @@ def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray):
         raise ShapeError(
             f"upstream shape {upstream.shape} != {(b_n, c_n, n_pts, h_out, w_out)}")
 
-    r0, r1, s0, s1, t, u = _corners(x_arr, grid)
-    g00 = _gather(x_arr, r0, s0)
-    g01 = _gather(x_arr, r0, s1)
-    g10 = _gather(x_arr, r1, s0)
-    g11 = _gather(x_arr, r1, s1)
+    rows, top_left, down, right, t, u = _plan(x_arr, grid)
+    corner = np.empty((4,) + top_left.shape, dtype=np.int64)
+    corner[0] = top_left
+    np.add(top_left, right, out=corner[1])
+    np.add(top_left, down, out=corner[2])
+    np.add(corner[2], right, out=corner[3])
+    del top_left, down, right
+    up = upstream.reshape(b_n, c_n, -1)
+    up_rows = np.ascontiguousarray(up.transpose(0, 2, 1))          # (B, P, C)
+    # per corner, the gathered rows contracted with the upstream over C
+    a00, a01, a10, a11 = np.einsum("kbpc,bpc->kbp", np.take(rows, corner, axis=0), up_rows)
+    del up_rows
 
     one = x_arr.dtype.type(1)
-    # d(sample)/dr and d(sample)/ds per channel, then contracted with upstream
-    d_dr = (one - u)[:, None] * (g10 - g00) + u[:, None] * (g11 - g01)
-    d_ds = (one - t)[:, None] * (g01 - g00) + t[:, None] * (g11 - g10)
-    grad_rows = (upstream * d_dr).sum(axis=1)
-    grad_cols = (upstream * d_ds).sum(axis=1)
-
+    grad_rows = ((one - u) * (a10 - a00) + u * (a11 - a01)).reshape(grid.dims)
+    grad_cols = ((one - t) * (a01 - a00) + t * (a11 - a10)).reshape(grid.dims)
     in_rows = (grid.rows >= 0) & (grid.rows <= h_in - 1)
     in_cols = (grid.cols >= 0) & (grid.cols <= w_in - 1)
     grad_rows = np.where(in_rows, grad_rows, 0).astype(x_arr.dtype)
     grad_cols = np.where(in_cols, grad_cols, 0).astype(x_arr.dtype)
 
-    # Scatter-add the four corner contributions into the input gradient.
-    plane = h_in * w_in
-    base = (np.arange(b_n, dtype=np.int64)[:, None] * c_n
-            + np.arange(c_n, dtype=np.int64)[None, :]) * plane   # (B, C)
-    p_tot = n_pts * h_out * w_out
-    up_flat = upstream.reshape(b_n, c_n, p_tot)
-    w00 = ((one - t) * (one - u)).reshape(b_n, 1, p_tot)
-    w01 = ((one - t) * u).reshape(b_n, 1, p_tot)
-    w10 = (t * (one - u)).reshape(b_n, 1, p_tot)
-    w11 = (t * u).reshape(b_n, 1, p_tot)
-    grad_flat = np.zeros(b_n * c_n * plane, dtype=np.float64)
-    for weight, ridx, sidx in ((w00, r0, s0), (w01, r0, s1), (w10, r1, s0), (w11, r1, s1)):
-        cell = (ridx * w_in + sidx).reshape(b_n, 1, p_tot)
-        idx = (base[:, :, None] + cell).reshape(-1)
-        contrib = (up_flat * weight).reshape(-1)
-        grad_flat += np.bincount(idx, weights=contrib, minlength=grad_flat.size)
-    grad_x = grad_flat.reshape(b_n, c_n, h_in, w_in).astype(x_arr.dtype)
+    # One float64 bincount per channel over the shared corner index; the
+    # products are taken in the input dtype and summed in float64.
+    weight = np.stack(_weights(t, u))
+    corner = corner.reshape(-1)
+    contrib = np.empty(weight.shape, dtype=np.float64)
+    grad_x = np.empty_like(x_arr)
+    for c in range(c_n):
+        np.multiply(weight, up[:, c], out=contrib)
+        grad_x[:, c] = np.bincount(corner, weights=contrib.reshape(-1),
+                                   minlength=rows.shape[0]).reshape(b_n, h_in, w_in)
     return _owned(grad_x), grad_rows, grad_cols

@@ -106,8 +106,11 @@ def test_bench_runs_and_reports(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["dims"] == [1, 8, 10, 10]
-    assert 0 < report["metrics"]["median_ms"] <= report["metrics"]["p90_ms"]
-    assert "median=" in capsys.readouterr().out
+    metrics = report["metrics"]
+    assert 0 < metrics["median_ms"] <= metrics["p90_ms"]
+    assert 0 < metrics["backward_median_ms"] <= metrics["backward_p90_ms"]
+    printed = capsys.readouterr().out
+    assert "forward  median=" in printed and "backward median=" in printed
 
 
 def test_bench_rejects_zero_iters(capsys):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ldconv.layer as layer_mod
 from ldconv.gradcheck import check_layer_gradients
 from ldconv.geometry import KernelGeometry, gen_initial_coords
 from ldconv.cli import REL_TOL_STRATEGY
 from ldconv.layer import (LdconvLayer, OffsetField, layer_from_records, layer_records,
                           layer_sidecar)
+from ldconv.sampler import SampleGrid
 from ldconv.tensor import (Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform,
                            read_tensors, write_tensors)
 
@@ -101,6 +103,29 @@ def test_offset_field_validation():
         OffsetField(n=3, data=np.zeros((1, 5, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="finite"):
         OffsetField(n=1, data=np.full((1, 2, 1, 1), np.nan, dtype=np.float32))
+
+
+def test_forward_keeps_the_offset_and_grid_arrays_it_builds(monkeypatch):
+    # the dataclasses copy writable arrays; the layer hands over read-only ones
+    layer = _randomized(LdconvLayer.create(3, 2, 4), Rng(5))
+    built = {}
+    offset_conv = layer._offset_conv
+
+    def recording_offset_conv(*args):
+        built["field"] = offset_conv(*args)
+        return built["field"]
+
+    def recording_grid(rows, cols):
+        built["rows"], built["cols"] = rows, cols
+        return SampleGrid(rows=rows, cols=cols)
+
+    monkeypatch.setattr(layer, "_offset_conv", recording_offset_conv)
+    monkeypatch.setattr(layer_mod, "SampleGrid", recording_grid)
+    cache = layer.forward(rand_uniform((2, 2, 6, 6), Rng(1)))[1]
+    assert np.shares_memory(cache.offsets.data, built["field"])
+    assert np.shares_memory(cache.grid.rows, built["rows"])
+    assert np.shares_memory(cache.grid.cols, built["cols"])
+    assert not cache.offsets.data.flags.writeable
 
 
 def test_identity_grid_for_single_point_kernel():

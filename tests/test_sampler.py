@@ -7,7 +7,111 @@ from hypothesis import strategies as st
 
 from ldconv.gradcheck import check_sampler_gradients
 from ldconv.sampler import SampleGrid, bilinear_backward, bilinear_sample
-from ldconv.tensor import Rng, ShapeError, Tensor4, rand_uniform
+from ldconv.tensor import Rng, ShapeError, Tensor4, _owned, rand_uniform
+
+
+# -- reference sampler ----------------------------------------------------------
+# The per-corner NCHW gathers and four flat bincounts the sampler used before
+# its channels-last plan, kept unchanged as the oracle the plan is checked
+# against.
+
+
+def _corners(x_arr: np.ndarray, grid: SampleGrid):
+    """Clamp coordinates and derive corner indices, weights, and gathers."""
+    b_n, c_n, h_in, w_in = x_arr.shape
+    dtype = x_arr.dtype
+    r = np.clip(grid.rows.astype(dtype, copy=False), dtype.type(0), dtype.type(h_in - 1))
+    s = np.clip(grid.cols.astype(dtype, copy=False), dtype.type(0), dtype.type(w_in - 1))
+    r0f = np.floor(r)
+    s0f = np.floor(s)
+    t = r - r0f
+    u = s - s0f
+    r0 = r0f.astype(np.int64)
+    s0 = s0f.astype(np.int64)
+    r1 = np.minimum(r0 + 1, h_in - 1)
+    s1 = np.minimum(s0 + 1, w_in - 1)
+    return r0, r1, s0, s1, t, u
+
+
+def _gather(x_arr: np.ndarray, ridx: np.ndarray, sidx: np.ndarray) -> np.ndarray:
+    """Gather x[b, :, ridx, sidx] for index arrays of shape (B, N, Ho, Wo)."""
+    b_n, c_n, h_in, w_in = x_arr.shape
+    b0, n_pts, h_out, w_out = ridx.shape
+    flat = (ridx * w_in + sidx).reshape(b0, -1)
+    x_flat = x_arr.reshape(b_n, c_n, h_in * w_in)
+    # advanced indices at positions 0 and 2 put their broadcast shape first
+    gathered = x_flat[np.arange(b_n)[:, None], :, flat]        # (B, P, C)
+    return gathered.transpose(0, 2, 1).reshape(b_n, c_n, n_pts, h_out, w_out)
+
+
+def reference_sample(x: Tensor4, grid: SampleGrid) -> np.ndarray:
+    """Sample x at grid coordinates; returns (B, C, N, H_out, W_out)."""
+    if grid.dims[0] != x.dims[0]:
+        raise ShapeError(f"grid batch {grid.dims[0]} != input batch {x.dims[0]}")
+    x_arr = x.data
+    r0, r1, s0, s1, t, u = _corners(x_arr, grid)
+    g00 = _gather(x_arr, r0, s0)
+    g01 = _gather(x_arr, r0, s1)
+    g10 = _gather(x_arr, r1, s0)
+    g11 = _gather(x_arr, r1, s1)
+    one = x_arr.dtype.type(1)
+    w00 = ((one - t) * (one - u))[:, None]
+    w01 = ((one - t) * u)[:, None]
+    w10 = (t * (one - u))[:, None]
+    w11 = (t * u)[:, None]
+    return w00 * g00 + w01 * g01 + w10 * g10 + w11 * g11
+
+
+def reference_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray):
+    """Gradients of sum(upstream * bilinear_sample(x, grid)).
+
+    Returns (grad_x: Tensor4, grad_rows, grad_cols); the coordinate gradients
+    are zeroed where the raw coordinate was clamped.
+    """
+    x_arr = x.data
+    b_n, c_n, h_in, w_in = x_arr.shape
+    upstream = np.asarray(upstream, dtype=x_arr.dtype)
+    b0, n_pts, h_out, w_out = grid.dims
+    if upstream.shape != (b_n, c_n, n_pts, h_out, w_out):
+        raise ShapeError(
+            f"upstream shape {upstream.shape} != {(b_n, c_n, n_pts, h_out, w_out)}")
+
+    r0, r1, s0, s1, t, u = _corners(x_arr, grid)
+    g00 = _gather(x_arr, r0, s0)
+    g01 = _gather(x_arr, r0, s1)
+    g10 = _gather(x_arr, r1, s0)
+    g11 = _gather(x_arr, r1, s1)
+
+    one = x_arr.dtype.type(1)
+    # d(sample)/dr and d(sample)/ds per channel, then contracted with upstream
+    d_dr = (one - u)[:, None] * (g10 - g00) + u[:, None] * (g11 - g01)
+    d_ds = (one - t)[:, None] * (g01 - g00) + t[:, None] * (g11 - g10)
+    grad_rows = (upstream * d_dr).sum(axis=1)
+    grad_cols = (upstream * d_ds).sum(axis=1)
+
+    in_rows = (grid.rows >= 0) & (grid.rows <= h_in - 1)
+    in_cols = (grid.cols >= 0) & (grid.cols <= w_in - 1)
+    grad_rows = np.where(in_rows, grad_rows, 0).astype(x_arr.dtype)
+    grad_cols = np.where(in_cols, grad_cols, 0).astype(x_arr.dtype)
+
+    # Scatter-add the four corner contributions into the input gradient.
+    plane = h_in * w_in
+    base = (np.arange(b_n, dtype=np.int64)[:, None] * c_n
+            + np.arange(c_n, dtype=np.int64)[None, :]) * plane   # (B, C)
+    p_tot = n_pts * h_out * w_out
+    up_flat = upstream.reshape(b_n, c_n, p_tot)
+    w00 = ((one - t) * (one - u)).reshape(b_n, 1, p_tot)
+    w01 = ((one - t) * u).reshape(b_n, 1, p_tot)
+    w10 = (t * (one - u)).reshape(b_n, 1, p_tot)
+    w11 = (t * u).reshape(b_n, 1, p_tot)
+    grad_flat = np.zeros(b_n * c_n * plane, dtype=np.float64)
+    for weight, ridx, sidx in ((w00, r0, s0), (w01, r0, s1), (w10, r1, s0), (w11, r1, s1)):
+        cell = (ridx * w_in + sidx).reshape(b_n, 1, p_tot)
+        idx = (base[:, :, None] + cell).reshape(-1)
+        contrib = (up_flat * weight).reshape(-1)
+        grad_flat += np.bincount(idx, weights=contrib, minlength=grad_flat.size)
+    grad_x = grad_flat.reshape(b_n, c_n, h_in, w_in).astype(x_arr.dtype)
+    return _owned(grad_x), grad_rows, grad_cols
 
 
 def _grid(rows, cols):
@@ -147,3 +251,81 @@ def test_gradcheck_float32_uses_looser_tolerance():
     results = check_sampler_gradients(seed=0, dtype=np.float32)
     assert all(r.passed for r in results)
     assert all(r.tol == pytest.approx(1e-3) for r in results)
+
+
+# -- the channels-last plan against the reference -------------------------------
+
+
+def _coordinates(gen, shape, extent):
+    """Coordinates on [0, extent-1] mixed with out-of-range ones, exact
+    integers, and the exact last row or column."""
+    coords = gen.uniform(0, extent - 1, size=shape)
+    kind = gen.integers(0, 4, size=shape)
+    outside = gen.uniform(-3, extent + 2, size=shape)
+    coords = np.where(kind == 1, outside, coords)
+    coords = np.where(kind == 2, gen.integers(-1, extent + 1, size=shape), coords)
+    return np.where(kind == 3, extent - 1, coords)
+
+
+def _rel_err(got, ref):
+    scale = np.abs(ref).max()
+    err = np.abs(np.asarray(got, np.float64) - ref).max()
+    return err / scale if scale else err
+
+
+def _both(x, grid, up):
+    return ((bilinear_sample(x, grid), bilinear_backward(x, grid, up)),
+            (reference_sample(x, grid), reference_backward(x, grid, up)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(b_n=st.integers(1, 3), c_n=st.integers(1, 4), h=st.integers(1, 6),
+       w=st.integers(1, 6), n_pts=st.integers(1, 4), h_out=st.integers(1, 3),
+       w_out=st.integers(1, 3), seed=st.integers(0, 2**31))
+def test_plan_matches_reference(b_n, c_n, h, w, n_pts, h_out, w_out, seed):
+    gen = np.random.default_rng(seed)
+    grid_shape = (b_n, n_pts, h_out, w_out)
+    rows = _coordinates(gen, grid_shape, h)
+    cols = _coordinates(gen, grid_shape, w)
+    x_vals = gen.uniform(-1, 1, size=(b_n, c_n, h, w))
+    up_vals = gen.uniform(-1, 1, size=(b_n, c_n) + grid_shape[1:])
+
+    x = Tensor4(x_vals)
+    grid = _grid(rows, cols)
+    (out, (gx, gr, gc)), (ref, (rgx, rgr, rgc)) = _both(x, grid, up_vals)
+    assert out.shape == ref.shape and gr.shape == rgr.shape == grid_shape
+    for got, want in ((out, ref), (gx.data, rgx.data), (gr, rgr), (gc, rgc)):
+        assert _rel_err(got, want) <= 1e-12
+
+    x32 = x.astype(np.float32)
+    grid32 = SampleGrid(rows.astype(np.float32), cols.astype(np.float32))
+    up32 = up_vals.astype(np.float32)
+    (_, (gx, gr, gc)), (_, (rgx, rgr, rgc)) = _both(x32, grid32, up32)
+    assert gx.dtype == np.float32 and gr.dtype == gc.dtype == np.float32
+    assert _rel_err(gx.data, rgx.data.astype(np.float64)) <= 1e-6
+    assert np.array_equal(gr == 0, rgr == 0)
+    assert np.array_equal(gc == 0, rgc == 0)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 1, 5), (2, 3, 4, 1), (1, 2, 1, 1)])
+def test_single_row_or_column_steps_to_the_same_corner(dims):
+    # H=1 (W=1) leaves no lower (right) corner: the step to it is 0, both
+    # corners are one pixel, and the row (column) gradient vanishes.
+    b_n, c_n, h, w = dims
+    gen = np.random.default_rng(3)
+    x = Tensor4(gen.uniform(-1, 1, size=dims))
+    rows = np.array([0.0, 0.0, -0.5, h - 1 + 0.25, 0.0, h - 1])
+    cols = np.array([0.0, w - 1, 1.5, -2.0, 0.75 * (w - 1), 0.25])
+    grid = _grid(np.broadcast_to(rows.reshape(1, 6, 1, 1), (b_n, 6, 1, 1)),
+                 np.broadcast_to(cols.reshape(1, 6, 1, 1), (b_n, 6, 1, 1)))
+    up = gen.uniform(-1, 1, size=(b_n, c_n, 6, 1, 1))
+    (out, (gx, gr, gc)), (ref, (rgx, rgr, rgc)) = _both(x, grid, up)
+    assert _rel_err(out, ref) <= 1e-12
+    assert _rel_err(gx.data, rgx.data) <= 1e-12
+    assert _rel_err(gr, rgr) <= 1e-12 and _rel_err(gc, rgc) <= 1e-12
+    if h == 1:
+        assert np.all(gr == 0)
+    if w == 1:
+        assert np.all(gc == 0)
+    # the input gradient keeps the upstream's total: the weights sum to one
+    assert np.allclose(gx.data.sum(axis=(2, 3)), up.sum(axis=(2, 3, 4)), rtol=1e-12)

@@ -10,6 +10,36 @@ if _requested:
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         _os.environ.setdefault(_var, _requested)
 
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap blocks in the process instead of returning them to the kernel.
+
+    By default glibc unmaps large blocks on free and trims the heap top, so
+    each layer call faults its temporaries back in (about 10,000 minor faults
+    per 256-image TinyNet forward).  M_MMAP_THRESHOLD (-3) = 32 MiB, the
+    ceiling of glibc's dynamic threshold on 64-bit, keeps such blocks on the
+    heap; M_TRIM_THRESHOLD (-1) = 64 MiB keeps the freed top for the next
+    call.  Setting either one turns the dynamic thresholds off, and either
+    alone measured slower than the default, so the trim threshold is set only
+    once the mmap one took.  Other C libraries keep their own behaviour.
+    """
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(-3, 32 << 20) == 1:
+        mallopt(-1, 64 << 20)
+
+
+_keep_freed_heap()
+
 from .tensor import (Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform,
                      read_tensors, write_tensors)
 from .geometry import (BaseGrid, KernelGeometry, ShapeFileError, base_grid,

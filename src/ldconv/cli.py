@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -138,6 +139,7 @@ def _cmd_bench(args) -> int:
     for _ in range(args.warmup):
         layer.backward(layer.forward(x)[1], upstream)
     forward_ms, backward_ms = [], []
+    faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(args.iters):
         begin = time.perf_counter()
         _, cache = layer.forward(x)
@@ -146,7 +148,8 @@ def _cmd_bench(args) -> int:
         end = time.perf_counter()
         forward_ms.append((middle - begin) * 1e3)
         backward_ms.append((end - middle) * 1e3)
-    metrics = {}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
+    metrics = {"minor_faults_per_iter": faults / args.iters}
     p90_rank = min(args.iters - 1, max(0, -(-9 * args.iters // 10) - 1))
     for prefix, times in (("", forward_ms), ("backward_", backward_ms)):
         times.sort()
@@ -155,6 +158,7 @@ def _cmd_bench(args) -> int:
     print(f"forward  median={metrics['median_ms']:8.3f} ms  p90={metrics['p90_ms']:8.3f} ms")
     print(f"backward median={metrics['backward_median_ms']:8.3f} ms  "
           f"p90={metrics['backward_p90_ms']:8.3f} ms")
+    print(f"minor page faults per forward+backward={metrics['minor_faults_per_iter']:.1f}")
     if args.out:
         RunReport(
             command="bench",

@@ -213,32 +213,36 @@ class LdconvLayer:
 
     # -- forward pieces ------------------------------------------------------
 
-    def _windows(self, xp: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
-        """Window matrix (B, c_in*9, h_out*w_out) of the 3x3/pad-1 offset conv.
+    def _windows(self, x: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
+        """Window matrix (B, c_in*9, h_out*w_out) of the 3x3 offset conv.
 
-        Row c*9 + kh*3 + kw is channel c at tap (kh, kw), matching
-        offset_w.reshape(2n, c_in*9).  It holds nine copies of the input, so
-        callers free it right after its GEMM rather than cache it.
+        The conv runs over the layer-padded input with its own padding of 1,
+        so x is zero-padded by padding + 1 in one go.  Row c*9 + kh*3 + kw is
+        channel c at tap (kh, kw), matching offset_w.reshape(2n, c_in*9).  It
+        holds nine copies of the input, so callers free it right after its
+        GEMM rather than cache it.
         """
-        xpp = pad2d(xp, 1)
-        b_n, c_in = xp.shape[:2]
+        xpp = pad2d(x, self.padding + 1)
+        b_n, c_in = x.shape[:2]
         s = self.stride
-        cols = np.empty((b_n, c_in, 3, 3, h_out, w_out), dtype=xp.dtype)
+        cols = np.empty((b_n, c_in, 3, 3, h_out, w_out), dtype=x.dtype)
         for kh in range(3):
             for kw in range(3):
                 cols[:, :, kh, kw] = xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
                                          kw:kw + (w_out - 1) * s + 1:s]
         return cols.reshape(b_n, c_in * 9, h_out * w_out)
 
-    def _offset_conv(self, x: Tensor4, xp: np.ndarray) -> np.ndarray:
-        """Offset field of the padded input xp: one GEMM over the window matrix."""
+    def offsets(self, x: Tensor4) -> OffsetField:
+        """Offset field predicted for x: the offset conv alone, one GEMM over
+        the window matrix, without sampling or mixing."""
+        self._check_input(x)
         b_n, _, h_in, w_in = x.dims
         out = base_grid(h_in, w_in, stride=self.stride, pad=self.padding)
-        field = self.offset_w.reshape(2 * self.n, -1) @ self._windows(xp, out.h_out, out.w_out)
+        field = self.offset_w.reshape(2 * self.n, -1) @ self._windows(x.data, out.h_out, out.w_out)
         field += self.offset_b[:, None]
-        field = field.reshape(b_n, 2 * self.n, out.h_out, out.w_out).astype(xp.dtype, copy=False)
+        field = field.reshape(b_n, 2 * self.n, out.h_out, out.w_out).astype(x.dtype, copy=False)
         field.setflags(write=False)   # fresh and ours: OffsetField keeps it without a copy
-        return field
+        return OffsetField(n=self.n, data=field)
 
     def assemble_grid(self, offsets: OffsetField) -> SampleGrid:
         """Base anchors + initial coordinates + predicted offsets."""
@@ -308,10 +312,9 @@ class LdconvLayer:
             raise ValueError(f"input dtype {x.dtype} != layer dtype {self.dtype}")
 
     def forward(self, x: Tensor4) -> tuple[Tensor4, LayerCache]:
-        self._check_input(x)
-        xp = pad2d(x.data, self.padding)
-        offsets = OffsetField(n=self.n, data=self._offset_conv(x, xp))
+        offsets = self.offsets(x)
         grid = self.assemble_grid(offsets)
+        xp = pad2d(x.data, self.padding)
         xp_t = _owned(xp) if self.padding else x
         sampled = bilinear_sample(xp_t, grid)
         mixed = self.aggregate(sampled)
@@ -321,7 +324,7 @@ class LdconvLayer:
             y, post_cache = self._post_forward(mixed)
         cache = LayerCache(xp=xp_t.data, offsets=offsets, grid=grid,
                            sampled=sampled, mixed=mixed, post_cache=post_cache)
-        return _owned(np.array(y)), cache
+        return _owned(y), cache
 
     # -- backward ------------------------------------------------------------
 
@@ -351,14 +354,16 @@ class LdconvLayer:
         # bilinear sampling
         xp_t = Tensor4(cache.xp)
         grad_xp_t, grad_rows, grad_cols = bilinear_backward(xp_t, cache.grid, grad_sampled)
-        grad_xp = np.array(grad_xp_t.data)
 
         # grid -> offset field (anchors and initial coordinates are constant)
         grad_field = np.concatenate([grad_rows, grad_cols], axis=1).reshape(b_n, 2 * self.n, cells)
 
         # offset conv: weight gradient against rebuilt windows, then the input
         # gradient as one GEMM plus nine strided adds (col2im)
-        windows_t = self._windows(cache.xp, h_out, w_out).transpose(0, 2, 1)
+        p = self.padding
+        h_pad, w_pad = cache.xp.shape[2:]
+        x = cache.xp[:, :, p:h_pad - p, p:w_pad - p]   # the input without the layer padding
+        windows_t = self._windows(x, h_out, w_out).transpose(0, 2, 1)
         grad_offset_w = (grad_field @ windows_t).sum(axis=0) \
             .reshape(self.offset_w.shape).astype(self.dtype, copy=False)
         del windows_t
@@ -366,19 +371,14 @@ class LdconvLayer:
 
         w_off = self.offset_w.reshape(2 * self.n, -1)
         grad_windows = (w_off.T @ grad_field).reshape(b_n, self.c_in, 3, 3, h_out, w_out)
-        h_pad, w_pad = cache.xp.shape[2:]
-        grad_xpp = np.zeros((b_n, self.c_in, h_pad + 2, w_pad + 2), dtype=grad_xp.dtype)
+        grad_xpp = np.zeros((b_n, self.c_in, h_pad + 2, w_pad + 2), dtype=grad_xp_t.dtype)
         s = self.stride
         for kh in range(3):
             for kw in range(3):
                 grad_xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
                          kw:kw + (w_out - 1) * s + 1:s] += grad_windows[:, :, kh, kw]
-        grad_xp += grad_xpp[:, :, 1:-1, 1:-1]
-
-        if self.padding:
-            grad_x = grad_xp[:, :, self.padding:-self.padding, self.padding:-self.padding]
-        else:
-            grad_x = grad_xp
+        grad_xp = grad_xp_t.data + grad_xpp[:, :, 1:-1, 1:-1]
+        grad_x = grad_xp[:, :, p:h_pad - p, p:w_pad - p]
         return LayerGrads(x=_owned(np.ascontiguousarray(grad_x)),
                           offset_w=grad_offset_w, offset_b=grad_offset_b,
                           agg_w=grad_agg_w, agg_b=grad_agg_b,

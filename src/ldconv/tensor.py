@@ -114,7 +114,10 @@ def pad2d(arr: np.ndarray, pad: int) -> np.ndarray:
         raise ValueError(f"pad must be >= 0, got {pad}")
     if pad == 0:
         return arr
-    return np.pad(arr, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    *lead, h, w = arr.shape
+    out = np.zeros((*lead, h + 2 * pad, w + 2 * pad), dtype=arr.dtype)
+    out[..., pad:pad + h, pad:pad + w] = arr
+    return out
 
 
 def conv2d_reference(x: Tensor4, weights, bias=None, stride: int = 1,

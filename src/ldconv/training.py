@@ -186,11 +186,13 @@ class TinyNet:
         return grads
 
     def offset_fields(self, images: np.ndarray) -> dict[str, OffsetField]:
-        """Offset fields of both deformable layers on the given batch."""
+        """Offset fields of both deformable layers on the given batch.
+
+        ld1 runs its full forward to produce ld2's input; ld2 stops at its
+        offset conv."""
         x = Tensor4(np.ascontiguousarray(images, dtype=self.dtype))
         h1, cache1 = self.ld1.forward(x)
-        _, cache2 = self.ld2.forward(h1)
-        return {"ld1": cache1.offsets, "ld2": cache2.offsets}
+        return {"ld1": cache1.offsets, "ld2": self.ld2.offsets(h1)}
 
 
 def _layer_grads_dict(layer: LdconvLayer, grads) -> dict[str, np.ndarray]:

@@ -109,8 +109,10 @@ def test_bench_runs_and_reports(tmp_path, capsys):
     metrics = report["metrics"]
     assert 0 < metrics["median_ms"] <= metrics["p90_ms"]
     assert 0 < metrics["backward_median_ms"] <= metrics["backward_p90_ms"]
+    assert metrics["minor_faults_per_iter"] >= 0
     printed = capsys.readouterr().out
     assert "forward  median=" in printed and "backward median=" in printed
+    assert "minor page faults per forward+backward=" in printed
 
 
 def test_bench_rejects_zero_iters(capsys):

@@ -109,17 +109,16 @@ def test_forward_keeps_the_offset_and_grid_arrays_it_builds(monkeypatch):
     # the dataclasses copy writable arrays; the layer hands over read-only ones
     layer = _randomized(LdconvLayer.create(3, 2, 4), Rng(5))
     built = {}
-    offset_conv = layer._offset_conv
 
-    def recording_offset_conv(*args):
-        built["field"] = offset_conv(*args)
-        return built["field"]
+    def recording_field(n, data):
+        built["field"] = data
+        return OffsetField(n=n, data=data)
 
     def recording_grid(rows, cols):
         built["rows"], built["cols"] = rows, cols
         return SampleGrid(rows=rows, cols=cols)
 
-    monkeypatch.setattr(layer, "_offset_conv", recording_offset_conv)
+    monkeypatch.setattr(layer_mod, "OffsetField", recording_field)
     monkeypatch.setattr(layer_mod, "SampleGrid", recording_grid)
     cache = layer.forward(rand_uniform((2, 2, 6, 6), Rng(1)))[1]
     assert np.shares_memory(cache.offsets.data, built["field"])
@@ -214,6 +213,21 @@ def test_forward_output_dims():
     layer = LdconvLayer.create(5, 16, 32, stride=2)
     y, _ = layer.forward(rand_uniform((2, 16, 32, 32), Rng(1)))
     assert y.dims == (2, 32, 16, 16)
+
+
+def test_output_without_post_stage_is_the_cached_mix():
+    # the mix is fresh, so forward hands it out without a copy
+    layer = LdconvLayer.create(3, 2, 4, post="none", rng=Rng(4))
+    y, cache = layer.forward(rand_uniform((2, 2, 6, 6), Rng(1)))
+    assert np.shares_memory(y.data, cache.mixed)
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 2)])
+def test_offsets_match_the_forward_field(stride, padding):
+    layer = _randomized(LdconvLayer.create(3, 2, 4, stride=stride, padding=padding), Rng(6))
+    x = rand_uniform((2, 2, 7, 6), Rng(2))
+    field = layer.offsets(x)
+    assert field.data.tobytes() == _offsets(layer, x).data.tobytes()
 
 
 def test_single_point_kernel_is_1x1_conv():

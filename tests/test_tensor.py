@@ -93,6 +93,12 @@ def test_pad2d():
     assert padded[0, 0].sum() == 4.0
     assert padded[0, 0, 0].sum() == 0.0
     assert pad2d(x, 0) is x
+    data = np.random.default_rng(0).standard_normal((2, 3, 5, 4)).astype(np.float32)
+    for pad in (1, 2):
+        expected = np.pad(data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        got = pad2d(data, pad)
+        assert got.dtype == data.dtype
+        assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
 
 
 # -- reference convolution ------------------------------------------------------

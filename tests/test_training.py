@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +142,46 @@ def test_net_forward_dims_and_unique_names():
     names = list(net.params())
     assert len(names) == len(set(names))
     assert net.param_count() == sum(p.size for p in net.params().values())
+
+
+def test_offset_fields_match_the_forward_caches():
+    net = TinyNet.create(rng=Rng(3))
+    for layer in (net.ld1, net.ld2):
+        gen = np.random.default_rng(layer.c_in)
+        layer.offset_w = gen.uniform(-0.1, 0.1, layer.offset_w.shape).astype(np.float32)
+        layer.offset_b = gen.uniform(-0.5, 0.5, layer.offset_b.shape).astype(np.float32)
+    images = synthetic_bars(8, Rng(3)).images
+    _, cache = net.forward(images)
+    fields = net.offset_fields(images)
+    for name, key in (("ld1", "cache1"), ("ld2", "cache2")):
+        expected = cache[key].offsets
+        assert fields[name].n == expected.n
+        assert fields[name].data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are set on glibc only")
+def test_forward_does_not_fault_its_temporaries_back_in():
+    # Without ldconv's heap thresholds glibc unmaps and trims the large
+    # temporaries after every call: about 10,000 minor faults per forward.
+    script = (
+        "import resource, ldconv\n"
+        "from ldconv import Rng, TinyNet, synthetic_bars\n"
+        "net = TinyNet.create(rng=Rng(0))\n"
+        "images = synthetic_bars(256, Rng(0)).images\n"
+        "for _ in range(3):\n"
+        "    net.forward(images)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(5):\n"
+        "    net.forward(images)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, LDCONV_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert float(proc.stdout) < 200
 
 
 def test_softmax_cross_entropy_matches_hand_value():

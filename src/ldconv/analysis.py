@@ -84,14 +84,17 @@ class GrowthRow:
     std_params: int
 
 
-def growth_audit(c_in: int, c_out: int, n_range, *, h_in: int = 32,
-                 w_in: int = 32) -> list[GrowthRow]:
+GROWTH_EXTENT = 32
+
+
+def growth_audit(c_in: int, c_out: int, n_range) -> list[GrowthRow]:
     """Parameter/FLOP table over kernel sizes, against k x k standard convs.
 
     delta_params is the difference to the previous row (empty for the first):
     constant over a contiguous n range because every count is linear in n.
     The companion columns give k = ceil(sqrt(n)) and the weight count
     c_out*c_in*k^2 of the standard convolution that covers the same extent.
+    FLOPs are single-image estimates on a 32x32 input (GROWTH_EXTENT).
     """
     n_list = [int(n) for n in n_range]
     if not n_list:
@@ -107,7 +110,7 @@ def growth_audit(c_in: int, c_out: int, n_range, *, h_in: int = 32,
         params = layer.param_count()
         std_k = math.ceil(math.sqrt(n))
         rows.append(GrowthRow(
-            n=n, params=params, flops=layer.flops_estimate(h_in, w_in),
+            n=n, params=params, flops=layer.flops_estimate(GROWTH_EXTENT, GROWTH_EXTENT),
             delta_params=None if previous is None else params - previous,
             std_k=std_k, std_params=c_out * c_in * std_k * std_k,
         ))

@@ -83,11 +83,11 @@ def check_sampler_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
     upstream = gen.uniform(-1.0, 1.0, size=(b_n, c_n, n, h_out, w_out)).astype(dtype)
 
     def loss():
-        grid = SampleGrid(rows=rows.copy(), cols=cols.copy())
-        return float(np.sum(bilinear_sample(Tensor4(x_arr.copy()), grid) * upstream))
+        grid = SampleGrid(rows=rows, cols=cols)
+        return float(np.sum(bilinear_sample(Tensor4(x_arr), grid) * upstream))
 
-    grid = SampleGrid(rows=rows.copy(), cols=cols.copy())
-    grad_x, grad_rows, grad_cols = bilinear_backward(Tensor4(x_arr.copy()), grid, upstream)
+    grid = SampleGrid(rows=rows, cols=cols)
+    grad_x, grad_rows, grad_cols = bilinear_backward(Tensor4(x_arr), grid, upstream)
 
     tol = DEFAULT_TOL[dtype]
     results = []
@@ -123,7 +123,7 @@ def _layer_fixture(dims, n: int, seed: int, dtype, post: str, stride: int, paddi
     if layer.agg_b is not None:
         layer.agg_b = gen.uniform(-0.1, 0.1, size=c_out).astype(dtype)
     x_arr = gen.random(dims).astype(dtype)
-    y, _ = layer.forward(Tensor4(x_arr.copy()))
+    y, _ = layer.forward(Tensor4(x_arr))
     upstream = gen.uniform(-1.0, 1.0, size=y.dims).astype(dtype)
     return layer, x_arr, upstream
 
@@ -141,11 +141,11 @@ def check_layer_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
     layer, x_arr, upstream = _layer_fixture(dims, n, seed, dtype, post, stride, padding)
 
     def loss():
-        y, _ = layer.forward(Tensor4(x_arr.copy()))
+        y, _ = layer.forward(Tensor4(x_arr))
         return float(np.sum(y.data * upstream))
 
-    y, cache = layer.forward(Tensor4(x_arr.copy()))
-    grads = layer.backward(cache, Tensor4(upstream.copy()))
+    y, cache = layer.forward(Tensor4(x_arr))
+    grads = layer.backward(cache, Tensor4(upstream))
     if sabotage:
         grads.offset_w = grads.offset_w * 1.5 + 1e-3
 

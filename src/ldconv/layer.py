@@ -386,15 +386,8 @@ class LdconvLayer:
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: one record per params() entry in a tensor container, plus a
-# JSON sidecar.  Vector parameters are stored as rank-4 tensors with trailing
-# singleton axes; the container holds float32 only, so saving a layer of
-# another dtype raises ValueError.
-
-
-def layer_records(layer: LdconvLayer) -> dict[str, Tensor4]:
-    return {name: Tensor4(arr.reshape(arr.shape + (1,) * (4 - arr.ndim)))
-            for name, arr in layer.params().items()}
+# Checkpoint structure: the JSON sidecar that describes a layer.  The
+# parameters themselves are records of the network's container.
 
 
 def layer_sidecar(layer: LdconvLayer) -> dict:
@@ -409,21 +402,16 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
     return sidecar
 
 
-def layer_from_records(records: dict[str, Tensor4], sidecar: dict,
-                       dtype=np.float32) -> LdconvLayer:
-    """Layer described by the sidecar with every params() entry read from records."""
+def layer_from_sidecar(sidecar: dict) -> LdconvLayer:
+    """Float32 layer of the structure the sidecar describes, its parameters
+    freshly initialised: the caller fills every params() entry."""
     geometry = None
     if sidecar.get("coords"):
         geometry = KernelGeometry(tuple((int(r), int(c)) for r, c in sidecar["coords"]))
     elif sidecar.get("shape_file"):
         raise ValueError(f"sidecar names shape file {sidecar['shape_file']!r} but records "
                          "no coords, so the kernel geometry cannot be restored")
-    layer = LdconvLayer.create(
+    return LdconvLayer.create(
         int(sidecar["n"]), int(sidecar["c_in"]), int(sidecar["c_out"]),
         stride=int(sidecar["stride"]), padding=int(sidecar["padding"]),
-        strategy=sidecar["strategy"], post=sidecar["post"], geometry=geometry, dtype=dtype)
-    for name, arr in layer.params().items():
-        if name not in records:
-            raise ValueError(f"checkpoint missing record {name!r}")
-        setattr(layer, name, np.array(records[name].data, dtype=dtype).reshape(arr.shape))
-    return layer
+        strategy=sidecar["strategy"], post=sidecar["post"], geometry=geometry)

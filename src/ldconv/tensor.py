@@ -121,16 +121,14 @@ def pad2d(arr: np.ndarray, pad: int) -> np.ndarray:
 
 
 def conv2d_reference(x: Tensor4, weights, bias=None, stride: int = 1,
-                     pad: int = 0, anchor: str = "top-left") -> Tensor4:
+                     pad: int = 0) -> Tensor4:
     """Direct-summation 2-D cross-correlation used as the oracle.
 
     output(b, o, i, j) = bias_o + sum_{c,dh,dw} w[o,c,dh,dw] *
-                         x_padded(b, c, i*stride + dh + a_h, j*stride + dw + a_w)
+                         x_padded(b, c, i*stride + dh, j*stride + dw)
 
-    With the top-left anchor (a_h = a_w = 0) the window for output (i, j)
-    starts at (i*stride, j*stride) on the padded map.  With the center anchor
-    the window is centred on (i*stride, j*stride) in original coordinates,
-    which requires pad >= (k-1)//2 on each axis.  No kernel flip is applied.
+    The window for output (i, j) starts at (i*stride, j*stride) on the padded
+    map, as the deformable layer anchors its kernel.  No kernel flip is applied.
     """
     w = np.asarray(weights)
     if w.ndim != 4:
@@ -143,22 +141,11 @@ def conv2d_reference(x: Tensor4, weights, bias=None, stride: int = 1,
         raise ValueError(f"stride must be >= 1, got {stride}")
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
-    if anchor not in ("top-left", "center"):
-        raise ValueError(f"unknown anchor {anchor!r}")
 
     h_out = (h_in + 2 * pad - k_h) // stride + 1
     w_out = (w_in + 2 * pad - k_w) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {k_h}x{k_w} does not fit input {h_in}x{w_in} with pad {pad}")
-
-    if anchor == "top-left":
-        a_h = a_w = 0
-    else:
-        a_h = pad - (k_h - 1) // 2
-        a_w = pad - (k_w - 1) // 2
-        if a_h < 0 or a_w < 0:
-            raise ShapeError(
-                f"center anchor requires pad >= (k-1)//2, got pad={pad} for kernel {k_h}x{k_w}")
 
     xp = pad2d(x.data, pad)
     acc = np.zeros((b_n, c_out, h_out, w_out), dtype=np.float64)
@@ -166,11 +153,9 @@ def conv2d_reference(x: Tensor4, weights, bias=None, stride: int = 1,
         for c in range(c_in):
             for dh in range(k_h):
                 for dw in range(k_w):
-                    top = a_h + dh
-                    left = a_w + dw
                     window = xp[:, c,
-                                top:top + (h_out - 1) * stride + 1:stride,
-                                left:left + (w_out - 1) * stride + 1:stride]
+                                dh:dh + (h_out - 1) * stride + 1:stride,
+                                dw:dw + (w_out - 1) * stride + 1:stride]
                     acc[:, o] += float(w[o, c, dh, dw]) * window
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .layer import (LdconvLayer, NonFiniteError, OffsetField, STRATEGIES,
-                    layer_from_records, layer_records, layer_sidecar)
-from .tensor import Rng, Tensor4, read_tensors, write_tensors
+                    layer_from_sidecar, layer_sidecar)
+from .tensor import Rng, Tensor4, _owned, read_tensors, write_tensors
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -177,7 +177,7 @@ class TinyNet:
         b_n, c_n, h_n, w_n = cache["pool_dims"]
         dpool = np.broadcast_to(dfeats[:, :, None, None] / self.dtype.type(h_n * w_n),
                                 (b_n, c_n, h_n, w_n)).astype(self.dtype)
-        g2 = self.ld2.backward(cache["cache2"], Tensor4(dpool.copy()))
+        g2 = self.ld2.backward(cache["cache2"], _owned(dpool))
         for key, val in _layer_grads_dict(self.ld2, g2).items():
             grads[f"ld2.{key}"] = val
         g1 = self.ld1.backward(cache["cache1"], g2.x)
@@ -344,50 +344,49 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
 
 
 def save_net(net: TinyNet, path, config: TrainConfig | None = None) -> None:
-    """Write all parameters into one tensor container plus a JSON sidecar.
+    """Write one record per params() entry into a tensor container, plus a
+    JSON sidecar holding the structure.
 
-    Raises ValueError unless every parameter is float32 (the container's type).
+    Records are rank 4, so vectors get trailing singleton axes.  Raises
+    ValueError unless every parameter is float32 (the container's type).
     """
     path = Path(path)
-    records: dict[str, Tensor4] = {}
-    for prefix, layer in (("ld1.", net.ld1), ("ld2.", net.ld2)):
-        for name, tensor in layer_records(layer).items():
-            records[prefix + name] = tensor
-    classes, feats = net.fc_w.shape
-    records["fc.w"] = Tensor4(net.fc_w.reshape(classes, feats, 1, 1))
-    records["fc.b"] = Tensor4(net.fc_b.reshape(classes, 1, 1, 1))
-    write_tensors(path, records)
+    write_tensors(path, {name: Tensor4(arr.reshape(arr.shape + (1,) * (4 - arr.ndim)))
+                         for name, arr in net.params().items()})
     sidecar = {
         "kind": "tinynet",
         "ld1": layer_sidecar(net.ld1),
         "ld2": layer_sidecar(net.ld2),
-        "classes": classes,
+        "classes": net.fc_w.shape[0],
     }
     if config is not None:
         sidecar["config"] = asdict(config)
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
-def load_net(path, dtype=np.float32) -> tuple[TinyNet, dict]:
-    """Rebuild a TinyNet from a container + sidecar; returns (net, sidecar)."""
+def load_net(path) -> tuple[TinyNet, dict]:
+    """Rebuild a float32 TinyNet from a container + sidecar; returns (net, sidecar).
+
+    The sidecar fixes the structure, the classifier included; every params()
+    entry is then filled from the record of the same name.  A missing record,
+    or one whose size disagrees with the structure, raises ValueError naming it.
+    """
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
     if sidecar.get("kind") != "tinynet":
         raise ValueError(f"{path}: not a network checkpoint")
     records = read_tensors(path)
-    dtype = np.dtype(dtype)
-
-    def split(prefix):
-        plen = len(prefix)
-        return {name[plen:]: tensor for name, tensor in records.items()
-                if name.startswith(prefix)}
-
-    ld1 = layer_from_records(split("ld1."), sidecar["ld1"], dtype=dtype)
-    ld2 = layer_from_records(split("ld2."), sidecar["ld2"], dtype=dtype)
+    ld2 = layer_from_sidecar(sidecar["ld2"])
     classes = int(sidecar["classes"])
-    if "fc.w" not in records or "fc.b" not in records:
-        raise ValueError(f"{path}: checkpoint missing classifier records")
-    feats = records["fc.w"].dims[1]
-    fc_w = np.array(records["fc.w"].data, dtype=dtype).reshape(classes, feats)
-    fc_b = np.array(records["fc.b"].data, dtype=dtype).reshape(classes)
-    return TinyNet(ld1=ld1, ld2=ld2, fc_w=fc_w, fc_b=fc_b), sidecar
+    net = TinyNet(ld1=layer_from_sidecar(sidecar["ld1"]), ld2=ld2,
+                  fc_w=np.zeros((classes, ld2.c_out), dtype=np.float32),
+                  fc_b=np.zeros(classes, dtype=np.float32))
+    for name, arr in net.params().items():
+        if name not in records:
+            raise ValueError(f"{path}: checkpoint missing record {name!r}")
+        data = records[name].data
+        if data.size != arr.size:
+            raise ValueError(f"{path}: record {name!r} has dims {records[name].dims}, "
+                             f"the sidecar's structure needs {arr.shape}")
+        arr[...] = data.reshape(arr.shape)
+    return net, sidecar

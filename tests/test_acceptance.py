@@ -98,7 +98,7 @@ def test_criterion_3_standard_conv_equivalence():
             y = layer.forward(x)[0].data
             w = layer.agg_w.reshape(c_out, c_in, k, k)
             ref = conv2d_reference(x, w, bias=layer.agg_b, stride=stride,
-                                   pad=pad, anchor="top-left").data
+                                   pad=pad).data
             crop = y[:, :, :ref.shape[2], :ref.shape[3]]
             scale = max(float(np.max(np.abs(ref))), 1e-12)
             worst = max(worst, float(np.max(np.abs(crop - ref))) / scale)

@@ -10,8 +10,8 @@ import pytest
 
 from ldconv.cli import main
 from ldconv.report import RunReport
-from ldconv.tensor import Rng, Tensor4, write_tensors
-from ldconv.training import TinyNet, TrainConfig, save_net, synthetic_bars
+from ldconv.tensor import Rng, Tensor4, read_tensors, write_tensors
+from ldconv.training import TinyNet, TrainConfig, load_net, save_net, synthetic_bars
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -228,6 +228,21 @@ def test_analyze_ao_architecture_mismatch(tmp_path, capsys):
                  "--probe", str(probe), "--out", str(tmp_path / "ao")])
     assert code == 2
     assert "architecture" in capsys.readouterr().err
+
+
+def test_analyze_ao_refuses_a_classifier_narrower_than_ld2(tmp_path, capsys):
+    # the sidecar fixes fc.w at (classes, ld2.c_out) = (10, 16); a (10, 12)
+    # record must be refused at load, not at the first forward's matmul
+    path = _make_checkpoint(tmp_path, "narrow.ldt")
+    records = read_tensors(path)
+    records["fc.w"] = Tensor4(np.zeros((10, 12, 1, 1), dtype=np.float32))
+    write_tensors(path, records)
+    with pytest.raises(ValueError, match="'fc.w'"):
+        load_net(path)
+    code = main(["analyze-ao", "--checkpoint", str(path), "--probe", str(_make_probe(tmp_path)),
+                 "--out", str(tmp_path / "ao")])
+    assert code == 2
+    assert "'fc.w'" in capsys.readouterr().err
 
 
 # -- growth -----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Deformable layer: offsets, grid assembly, aggregation, and gradients."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +9,11 @@ import ldconv.layer as layer_mod
 from ldconv.gradcheck import check_layer_gradients
 from ldconv.geometry import KernelGeometry, gen_initial_coords
 from ldconv.cli import REL_TOL_STRATEGY
-from ldconv.layer import (LdconvLayer, OffsetField, layer_from_records, layer_records,
-                          layer_sidecar)
+from ldconv.layer import LdconvLayer, OffsetField, layer_sidecar
 from ldconv.sampler import SampleGrid
 from ldconv.tensor import (Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform,
                            read_tensors, write_tensors)
+from ldconv.training import TinyNet, load_net, save_net
 
 
 def _rel_dev(a, b):
@@ -36,10 +34,12 @@ def _offsets(layer, x):
 
 
 def _round_trip(layer, path):
-    """Write the layer's records and sidecar to disk and rebuild it from them."""
-    write_tensors(path, layer_records(layer))
-    sidecar = json.loads(json.dumps(layer_sidecar(layer)))
-    return layer_from_records(read_tensors(path), sidecar)
+    """Save the layer as a net's first layer and rebuild it from the checkpoint."""
+    ld2 = LdconvLayer.create(1, layer.c_out, 2, rng=Rng(0))
+    net = TinyNet(ld1=layer, ld2=ld2, fc_w=np.zeros((10, 2), dtype=np.float32),
+                  fc_b=np.zeros(10, dtype=np.float32))
+    save_net(net, path)
+    return load_net(path)[0].ld1
 
 
 # -- the paper's other two channel-mix layouts, as oracles ---------------------
@@ -247,7 +247,7 @@ def test_zero_offsets_match_reference_conv(k):
     x = rand_uniform((2, 2, 6, 6), rng, stream="x")
     y, _ = layer.forward(x)
     w = layer.agg_w.reshape(3, 2, k, k)
-    ref = conv2d_reference(x, w, bias=layer.agg_b, anchor="top-left")
+    ref = conv2d_reference(x, w, bias=layer.agg_b)
     h_ref, w_ref = ref.dims[2], ref.dims[3]
     assert _rel_dev(y.data[:, :, :h_ref, :w_ref], ref.data) < 1e-5
 
@@ -258,7 +258,7 @@ def test_zero_offsets_match_padded_reference_conv():
     x = rand_uniform((1, 2, 6, 6), rng, stream="x")
     y, _ = layer.forward(x)
     w = layer.agg_w.reshape(3, 2, 3, 3)
-    ref = conv2d_reference(x, w, bias=layer.agg_b, pad=1, anchor="top-left")
+    ref = conv2d_reference(x, w, bias=layer.agg_b, pad=1)
     h_ref, w_ref = ref.dims[2], ref.dims[3]
     assert _rel_dev(y.data[:, :, :h_ref, :w_ref], ref.data) < 1e-5
 
@@ -428,17 +428,19 @@ def test_layer_checkpoint_round_trip(tmp_path):
     layer = _randomized(
         LdconvLayer.create(5, 2, 3, stride=2, padding=1,
                            post="normalize+activation", rng=Rng(11)), Rng(11))
-    back = _round_trip(layer, tmp_path / "layer.ldt")
+    path = tmp_path / "layer.ldt"
+    back = _round_trip(layer, path)
     assert (back.n, back.c_in, back.c_out) == (5, 2, 3)
     assert (back.stride, back.padding) == (2, 1)
     assert back.post == "normalize+activation"
     assert back.geometry.coords == layer.geometry.coords
     x = rand_uniform((2, 2, 6, 6), Rng(12))
     assert np.array_equal(layer.forward(x)[0].data, back.forward(x)[0].data)
-    records = layer_records(layer)
-    del records["post_scale"]
-    with pytest.raises(ValueError, match="missing record 'post_scale'"):
-        layer_from_records(records, layer_sidecar(layer))
+    records = read_tensors(path)
+    del records["ld1.post_scale"]
+    write_tensors(path, records)
+    with pytest.raises(ValueError, match="missing record 'ld1.post_scale'"):
+        load_net(path)
 
 
 def test_layer_checkpoint_custom_geometry(tmp_path):

@@ -132,11 +132,10 @@ def test_conv_reference_bias_and_anchor():
     x = Tensor4(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
     w = np.zeros((1, 1, 3, 3), dtype=np.float32)
     w[0, 0, 1, 1] = 1.0  # pick out the window centre
-    centered = conv2d_reference(x, w, bias=[0.5], pad=1, anchor="center")
-    assert centered.dims == (1, 1, 4, 4)
-    assert np.array_equal(centered.data[0, 0], x.data[0, 0] + 0.5)
-    with pytest.raises(ShapeError, match="center anchor requires"):
-        conv2d_reference(x, w, pad=0, anchor="center")
+    # with pad 1 the top-left-anchored window of output (i, j) is centred on (i, j)
+    y = conv2d_reference(x, w, bias=[0.5], pad=1)
+    assert y.dims == (1, 1, 4, 4)
+    assert np.array_equal(y.data[0, 0], x.data[0, 0] + 0.5)
 
 
 def test_conv_reference_linearity():

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from ldconv.geometry import load_custom_shape
-from ldconv.layer import LdconvLayer, layer_records, layer_sidecar
-from ldconv.tensor import Rng, write_tensors
+from ldconv.layer import layer_sidecar
+from ldconv.tensor import Rng
 from ldconv.training import (
     Dataset,
     DivergenceError,
@@ -344,8 +344,11 @@ def test_checkpoints_refuse_float64(tmp_path):
     net = TinyNet.create(dtype=np.float64)
     with pytest.raises(ValueError, match="float32 only"):
         save_net(net, tmp_path / "net.ldt")
+    # one float64 layer in an otherwise float32 net is refused as well
+    mixed = TinyNet.create()
+    mixed.ld1 = mixed.ld1.astype(np.float64)
     with pytest.raises(ValueError, match="float32 only"):
-        write_tensors(tmp_path / "layer.ldt", layer_records(net.ld1))
+        save_net(mixed, tmp_path / "net.ldt")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -369,10 +372,10 @@ def test_shape_file_checkpoint_loads_from_any_directory(tmp_path, monkeypatch):
 
 
 def test_load_net_rejects_layer_checkpoint(tmp_path):
-    layer = LdconvLayer.create(3, 1, 2)
+    net = TinyNet.create(n1=3)
     path = tmp_path / "layer.ldt"
-    write_tensors(path, layer_records(layer))
-    Path(str(path) + ".json").write_text(json.dumps(layer_sidecar(layer)))
+    save_net(net, path)
+    Path(str(path) + ".json").write_text(json.dumps(layer_sidecar(net.ld1)))
     with pytest.raises(ValueError, match="not a network checkpoint"):
         load_net(path)
 

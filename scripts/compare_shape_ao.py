@@ -59,9 +59,8 @@ def main(argv=None) -> int:
     for name, geometry in variants:
         cfg = TrainConfig(n1=n, n2=n, epochs=args.epochs, seed=args.seed,
                           subset=args.subset)
-        net = TinyNet.create(n1=n, n2=n, strategy=cfg.strategy, post=cfg.post,
-                             rng=Rng(cfg.seed), geometry1=geometry,
-                             geometry2=geometry)
+        net = TinyNet.create(n1=n, n2=n, post=cfg.post, rng=Rng(cfg.seed),
+                             geometry1=geometry, geometry2=geometry)
         result = train(net, data, cfg)
         path = out_dir / f"{name}.ldt"
         save_net(net, path, config=cfg)
@@ -70,7 +69,7 @@ def main(argv=None) -> int:
 
     print(f"\nAO of the last deformable layer on a shared {args.probe_size}-image probe:")
     print(f"{'variant':<12} {'ao mean':>8} {'ao std':>8}")
-    for path, report in shape_ao_compare(paths, probe):
+    for path, report, _ in shape_ao_compare(paths, probe):
         print(f"{Path(path).stem:<12} {report.mean:>8.3f} {report.std:>8.3f}")
     return 0
 

@@ -47,8 +47,7 @@ def main(argv=None) -> int:
     for n in n_values:
         cfg = TrainConfig(n1=n, n2=n, epochs=args.epochs, seed=args.seed,
                           subset=args.subset, eval_subset=args.eval_subset)
-        net = TinyNet.create(n1=n, n2=n, strategy=cfg.strategy, post=cfg.post,
-                             rng=Rng(cfg.seed))
+        net = TinyNet.create(n1=n, n2=n, post=cfg.post, rng=Rng(cfg.seed))
         t0 = time.perf_counter()
         result = train(net, train_data, cfg, eval_dataset=eval_data)
         secs = time.perf_counter() - t0

@@ -45,7 +45,7 @@ from .tensor import (Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform,
 from .geometry import (BaseGrid, KernelGeometry, ShapeFileError, base_grid,
                        gen_initial_coords, load_custom_shape)
 from .sampler import SampleGrid, bilinear_backward, bilinear_sample
-from .layer import LdconvLayer, OffsetField, STRATEGIES
+from .layer import LdconvLayer, OffsetField
 from .training import (Dataset, DivergenceError, TinyNet, TrainConfig, evaluate,
                        load_idx, load_net, save_net, synthetic_bars, train)
 from .analysis import (AoReport, GrowthRow, IncompatibleCheckpointError,
@@ -56,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AoReport", "BaseGrid", "Dataset", "DivergenceError", "GrowthRow",
     "IncompatibleCheckpointError", "KernelGeometry", "LdconvLayer", "OffsetField",
-    "Rng", "SampleGrid", "ShapeError", "ShapeFileError", "STRATEGIES", "Tensor4",
+    "Rng", "SampleGrid", "ShapeError", "ShapeFileError", "Tensor4",
     "TinyNet", "TrainConfig", "average_offset", "base_grid", "bilinear_backward",
     "bilinear_sample", "conv2d_reference", "evaluate", "gen_initial_coords",
     "growth_audit", "load_custom_shape", "load_idx", "load_net", "rand_uniform",

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import KernelGeometry
 from .layer import LdconvLayer, OffsetField
 from .tensor import Rng, Tensor4
 from .training import load_net
@@ -129,15 +130,16 @@ def growth_csv(rows: list[GrowthRow]) -> str:
 # -- shape comparison ----------------------------------------------------------
 
 
-def shape_ao_compare(checkpoint_paths, probe: Tensor4) -> list[tuple[str, AoReport]]:
-    """AO of the last deformable layer for each checkpoint on a shared probe.
+def shape_ao_compare(checkpoint_paths,
+                     probe: Tensor4) -> list[tuple[str, AoReport, KernelGeometry]]:
+    """AO and kernel geometry of the last deformable layer per checkpoint on a shared probe.
 
     All checkpoints must agree on kernel sizes, channel structure, and stride
     so their AO fields are comparable; only the kernel geometry may differ.
     """
     if not checkpoint_paths:
         raise ValueError("no checkpoints given")
-    reports: list[tuple[str, AoReport]] = []
+    reports: list[tuple[str, AoReport, KernelGeometry]] = []
     reference = None
     for path in checkpoint_paths:
         net, sidecar = load_net(path)
@@ -149,5 +151,5 @@ def shape_ao_compare(checkpoint_paths, probe: Tensor4) -> list[tuple[str, AoRepo
             raise IncompatibleCheckpointError(
                 f"{path}: architecture {signature} != {reference}")
         fields = net.offset_fields(probe.data)
-        reports.append((str(path), average_offset(fields["ld2"])))
+        reports.append((str(path), average_offset(fields["ld2"]), net.ld2.geometry))
     return reports

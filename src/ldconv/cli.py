@@ -26,7 +26,7 @@ from .layer import LdconvLayer
 from .report import RunReport, now_stamp
 from .svgplot import line_chart_svg, shape_scatter_svg
 from .tensor import Rng, rand_uniform, read_tensors
-from .training import (DivergenceError, TinyNet, TrainConfig, load_idx, load_net,
+from .training import (DivergenceError, TinyNet, TrainConfig, load_idx, save_net,
                        synthetic_bars, train)
 
 # Relative agreement of the paper's three channel-mix layouts, which compute
@@ -120,14 +120,13 @@ def _cmd_check_grad(args) -> int:
 
 def _cmd_bench(args) -> int:
     dims = _parse_dims(args.dims)
-    if dims[1] != args.c_in:
-        raise ValueError(f"--dims channel {dims[1]} != --c-in {args.c_in}")
+    c_in = dims[1]
     if args.iters < 1:
         raise ValueError(f"--iters must be >= 1, got {args.iters}")
     if args.warmup < 0:
         raise ValueError(f"--warmup must be >= 0, got {args.warmup}")
     rng = Rng(0)
-    layer = LdconvLayer.create(args.n, args.c_in, args.c_out, rng=rng, name="bench")
+    layer = LdconvLayer.create(args.n, c_in, args.c_out, rng=rng, name="bench")
     layer.offset_w = rng.stream("bench/offw").uniform(
         -0.1, 0.1, size=layer.offset_w.shape).astype(np.float32)
     layer.offset_b = rng.stream("bench/offb").uniform(
@@ -162,7 +161,7 @@ def _cmd_bench(args) -> int:
     if args.out:
         RunReport(
             command="bench",
-            config={"n": args.n, "c_in": args.c_in, "c_out": args.c_out,
+            config={"n": args.n, "c_in": c_in, "c_out": args.c_out,
                     "dims": list(dims), "iters": args.iters, "warmup": args.warmup},
             timestamp=None if args.no_timestamp else now_stamp(),
             metrics=metrics, artifacts={},
@@ -195,10 +194,10 @@ def _cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    net = TinyNet.create(n1=config.n1, n2=config.n2, strategy=config.strategy,
-                         post=config.post, rng=rng)
+    net = TinyNet.create(n1=config.n1, n2=config.n2, post=config.post, rng=rng)
+    result = train(net, data, config, eval_dataset=eval_data)
     ckpt = out_dir / "checkpoint.ldt"
-    result = train(net, data, config, eval_dataset=eval_data, checkpoint_path=ckpt)
+    save_net(net, ckpt, config)
 
     ao_summaries = {}
     # artifact paths are relative to the report's directory so a rerun into a
@@ -239,7 +238,7 @@ def _cmd_analyze_ao(args) -> int:
     series = []
     artifacts = {}
     summaries = {}
-    for idx, (path, rep) in enumerate(reports):
+    for idx, (path, rep, geometry) in enumerate(reports):
         csv_path = out_dir / f"ao_{idx}.csv"
         csv_path.write_text(ao_csv(rep))
         artifacts[f"ao_{idx}"] = csv_path.name
@@ -247,10 +246,9 @@ def _cmd_analyze_ao(args) -> int:
         flat = rep.position_mean.reshape(-1)
         series.append((Path(path).name, list(range(flat.size)),
                        [float(v) for v in flat]))
-        net, _ = load_net(path)
         svg_path = out_dir / f"shape_{idx}.svg"
         svg_path.write_text(shape_scatter_svg(
-            net.ld2.geometry, title=f"kernel shape: {Path(path).name}",
+            geometry, title=f"kernel shape: {Path(path).name}",
             timestamp=stamp))
         artifacts[f"shape_{idx}"] = svg_path.name
     chart = line_chart_svg(series, title="mean |offset| per output position",
@@ -264,7 +262,7 @@ def _cmd_analyze_ao(args) -> int:
               config={"checkpoints": list(args.checkpoint), "probe": args.probe},
               timestamp=stamp, metrics={"ao": summaries},
               artifacts=artifacts).save(out_dir / "report.json")
-    for path, rep in reports:
+    for path, rep, _ in reports:
         print(f"{path}: mean_ao={rep.mean:.5f} std={rep.std:.5f}")
     return 0
 
@@ -333,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the layer forward and backward")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--c-in", type=int, default=8)
     p.add_argument("--c-out", type=int, default=16)
-    p.add_argument("--dims", default="2,8,16,16", help="input dims B,C,H,W")
+    p.add_argument("--dims", default="2,8,16,16", help="input dims B,C,H,W; C is the layer's c_in")
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--out", default=None)

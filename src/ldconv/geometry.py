@@ -100,7 +100,6 @@ class BaseGrid:
 
     h_out: int
     w_out: int
-    stride: int
 
 
 def base_grid(h_in: int, w_in: int, stride: int = 1, pad: int = 0) -> BaseGrid:
@@ -120,4 +119,4 @@ def base_grid(h_in: int, w_in: int, stride: int = 1, pad: int = 0) -> BaseGrid:
     w_out = (w_in + 2 * pad - 1) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ValueError(f"degenerate grid: {h_out}x{w_out}")
-    return BaseGrid(h_out=h_out, w_out=w_out, stride=stride)
+    return BaseGrid(h_out=h_out, w_out=w_out)

@@ -100,8 +100,8 @@ class LdconvLayer:
     offset_b: np.ndarray          # (2n,)
     agg_w: np.ndarray             # (c_out, c_in, n)
     agg_b: np.ndarray | None      # (c_out,) without the post stage, else None
-    # one of STRATEGIES: a validated label kept in configs and checkpoints;
-    # every layout computes the same map, so it selects no code path
+    # one of STRATEGIES, a layout label that selects no code; its only reader is
+    # perfbench StressLayer.checks' dataclasses.replace(layer, strategy=s)
     strategy: str = "channel-stack-1x1"
     post: str = "none"
     post_scale: np.ndarray | None = None
@@ -140,10 +140,9 @@ class LdconvLayer:
 
     @classmethod
     def create(cls, n: int, c_in: int, c_out: int, *, stride: int = 1,
-               padding: int = 0, strategy: str = "channel-stack-1x1",
-               post: str = "none", geometry: KernelGeometry | None = None,
-               rng: Rng | None = None, dtype=np.float32,
-               name: str = "ldconv") -> "LdconvLayer":
+               padding: int = 0, post: str = "none",
+               geometry: KernelGeometry | None = None, rng: Rng | None = None,
+               dtype=np.float32, name: str = "ldconv") -> "LdconvLayer":
         """Build a layer with zero offsets and fan-in-scaled mixing weights.
 
         When the post stage is enabled the aggregation bias is dropped: the
@@ -165,7 +164,7 @@ class LdconvLayer:
             offset_b=np.zeros(2 * n, dtype=dtype),
             agg_w=agg_w,
             agg_b=None if with_post else np.zeros(c_out, dtype=dtype),
-            strategy=strategy, post=post,
+            post=post,
             post_scale=np.ones(c_out, dtype=dtype) if with_post else None,
             post_shift=np.zeros(c_out, dtype=dtype) if with_post else None,
         )
@@ -393,8 +392,7 @@ class LdconvLayer:
 def layer_sidecar(layer: LdconvLayer) -> dict:
     sidecar = {
         "n": layer.n, "c_in": layer.c_in, "c_out": layer.c_out,
-        "stride": layer.stride, "padding": layer.padding,
-        "strategy": layer.strategy, "post": layer.post,
+        "stride": layer.stride, "padding": layer.padding, "post": layer.post,
     }
     if layer.geometry != gen_initial_coords(layer.n):
         # the points themselves, so loading needs no file and no working directory
@@ -404,7 +402,8 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
 
 def layer_from_sidecar(sidecar: dict) -> LdconvLayer:
     """Float32 layer of the structure the sidecar describes, its parameters
-    freshly initialised: the caller fills every params() entry."""
+    freshly initialised: the caller fills every params() entry.  Keys it does
+    not read, such as the layout label of older sidecars, are ignored."""
     geometry = None
     if sidecar.get("coords"):
         geometry = KernelGeometry(tuple((int(r), int(c)) for r, c in sidecar["coords"]))
@@ -414,4 +413,4 @@ def layer_from_sidecar(sidecar: dict) -> LdconvLayer:
     return LdconvLayer.create(
         int(sidecar["n"]), int(sidecar["c_in"]), int(sidecar["c_out"]),
         stride=int(sidecar["stride"]), padding=int(sidecar["padding"]),
-        strategy=sidecar["strategy"], post=sidecar["post"], geometry=geometry)
+        post=sidecar["post"], geometry=geometry)

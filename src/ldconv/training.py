@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .layer import (LdconvLayer, NonFiniteError, OffsetField, STRATEGIES,
-                    layer_from_sidecar, layer_sidecar)
+from .layer import LdconvLayer, NonFiniteError, OffsetField, layer_from_sidecar, layer_sidecar
 from .tensor import Rng, Tensor4, _owned, read_tensors, write_tensors
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -52,6 +51,8 @@ class Dataset:
         return self.images.shape[0]
 
     def take(self, count: int) -> "Dataset":
+        if count < 0:
+            raise ValueError(f"subset must be >= 0, got {count}")
         if count > len(self):
             raise ValueError(f"subset {count} exceeds dataset size {len(self)}")
         return Dataset(self.images[:count], self.labels[:count])
@@ -130,22 +131,19 @@ class TinyNet:
     fc_b: np.ndarray   # (NUM_CLASSES,)
 
     @classmethod
-    def create(cls, n1: int = 5, n2: int = 5, strategy: str = "channel-stack-1x1",
-               post: str = "normalize+activation", rng: Rng | None = None,
-               dtype=np.float32, geometry1=None, geometry2=None) -> "TinyNet":
+    def create(cls, n1: int = 5, n2: int = 5, post: str = "normalize+activation",
+               rng: Rng | None = None, geometry1=None, geometry2=None) -> "TinyNet":
+        """A float32 net; a float64 one is cast layer by layer with astype."""
         rng = rng if rng is not None else Rng(0)
-        dtype = np.dtype(dtype)
-        ld1 = LdconvLayer.create(n1, 1, 8, stride=2, strategy=strategy, post=post,
-                                 rng=rng, dtype=dtype, name="ld1",
+        ld1 = LdconvLayer.create(n1, 1, 8, stride=2, post=post, rng=rng, name="ld1",
                                  geometry=geometry1)
-        ld2 = LdconvLayer.create(n2, 8, 16, stride=2, strategy=strategy, post=post,
-                                 rng=rng, dtype=dtype, name="ld2",
+        ld2 = LdconvLayer.create(n2, 8, 16, stride=2, post=post, rng=rng, name="ld2",
                                  geometry=geometry2)
         bound = float(np.sqrt(1.0 / 16))
         fc_w = rng.stream("fc/w").uniform(-bound, bound,
-                                          size=(NUM_CLASSES, 16)).astype(dtype)
+                                          size=(NUM_CLASSES, 16)).astype(np.float32)
         return cls(ld1=ld1, ld2=ld2, fc_w=fc_w,
-                   fc_b=np.zeros(NUM_CLASSES, dtype=dtype))
+                   fc_b=np.zeros(NUM_CLASSES, dtype=np.float32))
 
     @property
     def dtype(self):
@@ -227,11 +225,14 @@ def evaluate(net: TinyNet, dataset: Dataset, batch: int = 256) -> float:
 # -- config / loop -----------------------------------------------------------
 
 
+# the values each TrainConfig annotation accepts; a bool passes for no field
+_CONFIG_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
 @dataclass
 class TrainConfig:
     n1: int = 5
     n2: int = 5
-    strategy: str = "channel-stack-1x1"
     epochs: int = 10
     batch: int = 32
     lr: float = 0.05
@@ -242,6 +243,11 @@ class TrainConfig:
     post: str = "normalize+activation"
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[field.type]):
+                raise ValueError(f"config key {field.name!r} must be {field.type}, "
+                                 f"got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:
@@ -250,8 +256,8 @@ class TrainConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.subset < 1:
             raise ValueError(f"subset must be >= 1, got {self.subset}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.eval_subset < 1:
+            raise ValueError(f"eval_subset must be >= 1, got {self.eval_subset}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -271,7 +277,6 @@ class TrainResult:
     final_train_acc: float
     param_count: int
     ao_batch: dict[str, OffsetField]
-    net: TinyNet
 
     def metrics(self, ao_summaries: dict | None = None) -> dict:
         return {"loss": self.loss, "acc": self.acc,
@@ -281,8 +286,7 @@ class TrainResult:
 
 
 def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
-          eval_dataset: Dataset | None = None,
-          checkpoint_path=None) -> TrainResult:
+          eval_dataset: Dataset | None = None) -> TrainResult:
     """SGD loop; returns per-epoch curves and the offset fields of one batch.
 
     final_acc is the held-out accuracy when eval_dataset is given, otherwise
@@ -331,13 +335,9 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
         ao_batch = net.offset_fields(probe)
     except NonFiniteError as exc:
         raise DivergenceError(f"{exc} at {where}") from exc
-    result = TrainResult(loss=losses, acc=accs, final_loss=float(final_loss),
-                         final_acc=final_acc,
-                         final_train_acc=final_train_acc,
-                         param_count=net.param_count(), ao_batch=ao_batch, net=net)
-    if checkpoint_path is not None:
-        save_net(net, checkpoint_path, config)
-    return result
+    return TrainResult(loss=losses, acc=accs, final_loss=float(final_loss),
+                       final_acc=final_acc, final_train_acc=final_train_acc,
+                       param_count=net.param_count(), ao_batch=ao_batch)
 
 
 # -- checkpointing -----------------------------------------------------------

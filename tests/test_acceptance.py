@@ -41,8 +41,8 @@ def _run(num, desc, budget_s, fn):
 
 
 def _net(cfg, seed=None):
-    return TinyNet.create(n1=cfg.n1, n2=cfg.n2, strategy=cfg.strategy,
-                          post=cfg.post, rng=Rng(cfg.seed if seed is None else seed))
+    return TinyNet.create(n1=cfg.n1, n2=cfg.n2, post=cfg.post,
+                          rng=Rng(cfg.seed if seed is None else seed))
 
 
 def test_criterion_1_coordinate_oracle():

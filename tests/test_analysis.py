@@ -144,8 +144,7 @@ def test_growth_csv_layout():
 
 def _save_checkpoint(tmp_path, name, seed):
     cfg = TrainConfig()
-    net = TinyNet.create(n1=cfg.n1, n2=cfg.n2, strategy=cfg.strategy,
-                         post=cfg.post, rng=Rng(seed))
+    net = TinyNet.create(n1=cfg.n1, n2=cfg.n2, post=cfg.post, rng=Rng(seed))
     path = tmp_path / name
     save_net(net, path, cfg)
     return path
@@ -163,8 +162,7 @@ def test_shape_ao_compare_identical_checkpoints(tmp_path):
 def test_shape_ao_compare_rejects_architecture_mismatch(tmp_path):
     small = tmp_path / "small.ldt"
     cfg = TrainConfig(n1=3, n2=3)
-    save_net(TinyNet.create(n1=3, n2=3, strategy=cfg.strategy, post=cfg.post,
-                            rng=Rng(0)), small, cfg)
+    save_net(TinyNet.create(n1=3, n2=3, post=cfg.post, rng=Rng(0)), small, cfg)
     big = _save_checkpoint(tmp_path, "big.ldt", 0)
     probe = rand_uniform((1, 1, 28, 28), Rng(1))
     with pytest.raises(IncompatibleCheckpointError):

@@ -4,10 +4,12 @@ Exit-code contract: 0 success, 1 quantitative failure, 2 usage/input error.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ldconv import training
 from ldconv.cli import main
 from ldconv.report import RunReport
 from ldconv.tensor import Rng, Tensor4, read_tensors, write_tensors
@@ -120,10 +122,6 @@ def test_bench_rejects_zero_iters(capsys):
     assert "--iters" in capsys.readouterr().err
 
 
-def test_bench_dims_channel_mismatch(capsys):
-    assert main(["bench", "--dims", "1,4,8,8", "--c-in", "8"]) == 2
-
-
 # -- train ------------------------------------------------------------------------
 
 
@@ -180,6 +178,22 @@ def test_train_blow_up_is_a_divergence_not_a_usage_error(tmp_path, capsys):
     assert main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")]) == 2
 
 
+def test_train_rejects_old_strategy_key(tmp_path, capsys):
+    # the layout label selects no code and is no longer a config key
+    cfg = _tiny_config(tmp_path, strategy="channel-stack-1x1")
+    assert main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")]) == 2
+    assert "unknown config keys: ['strategy']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(("key", "value"), [("epochs", "2"), ("batch", 8.5), ("n1", 2.5),
+                                            ("eval_subset", 0), ("eval_subset", -1)])
+def test_train_rejects_bad_config_values(tmp_path, capsys, key, value):
+    cfg = _tiny_config(tmp_path, **{key: value})
+    assert main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_train_missing_config_file(tmp_path):
     assert main(["train", str(tmp_path / "nope.json"), "--synthetic",
                  "--out", str(tmp_path / "run")]) == 2
@@ -190,8 +204,7 @@ def test_train_missing_config_file(tmp_path):
 
 def _make_checkpoint(tmp_path, name, n=5, seed=0):
     cfg = TrainConfig(n1=n, n2=n)
-    net = TinyNet.create(n1=n, n2=n, strategy=cfg.strategy, post=cfg.post,
-                         rng=Rng(seed))
+    net = TinyNet.create(n1=n, n2=n, post=cfg.post, rng=Rng(seed))
     path = tmp_path / name
     save_net(net, path, cfg)
     return path
@@ -218,6 +231,24 @@ def test_analyze_ao_outputs(tmp_path, capsys):
     chart = (out_dir / "ao_compare.svg").read_text()
     assert "a.ldt" in chart and "b.ldt" in chart
     assert "mean_ao" in capsys.readouterr().out
+
+
+def test_analyze_ao_loads_each_checkpoint_once(tmp_path, monkeypatch):
+    ck_a = _make_checkpoint(tmp_path, "a.ldt", seed=0)
+    ck_b = _make_checkpoint(tmp_path, "b.ldt", seed=1)
+    probe = _make_probe(tmp_path)
+    reads = []
+    real_read = training.read_tensors
+
+    def counting_read(path):            # load_net reads the container with this
+        reads.append(Path(path).name)
+        return real_read(path)
+
+    monkeypatch.setattr(training, "read_tensors", counting_read)
+    assert main(["analyze-ao", "--checkpoint", str(ck_a), "--checkpoint", str(ck_b),
+                 "--probe", str(probe), "--out", str(tmp_path / "ao"),
+                 "--no-timestamp"]) == 0
+    assert reads == ["a.ldt", "b.ldt"]
 
 
 def test_analyze_ao_architecture_mismatch(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Deformable layer: offsets, grid assembly, aggregation, and gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,7 +189,7 @@ def test_aggregate_rejects_bad_sampled_shape():
 
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError, match="unknown strategy"):
-        LdconvLayer.create(3, 2, 4, strategy="im2col")
+        replace(LdconvLayer.create(3, 2, 4), strategy="im2col")
 
 
 @given(

@@ -40,8 +40,8 @@ def _write_idx_labels(path, labels):
 
 
 def _net(cfg, seed=None):
-    return TinyNet.create(n1=cfg.n1, n2=cfg.n2, strategy=cfg.strategy,
-                          post=cfg.post, rng=Rng(cfg.seed if seed is None else seed))
+    return TinyNet.create(n1=cfg.n1, n2=cfg.n2, post=cfg.post,
+                          rng=Rng(cfg.seed if seed is None else seed))
 
 
 # -- IDX loading ------------------------------------------------------------------
@@ -97,6 +97,9 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 1, 4, 4)), np.array([0, 10]))
     with pytest.raises(ValueError, match="subset"):
         Dataset(np.zeros((2, 1, 4, 4)), np.zeros(2, dtype=np.int64)).take(3)
+    # a negative count would slice [:-k] and silently drop images
+    with pytest.raises(ValueError, match="subset must be >= 0"):
+        Dataset(np.zeros((10, 1, 4, 4)), np.zeros(10, dtype=np.int64)).take(-3)
 
 
 # -- synthetic data ----------------------------------------------------------------
@@ -191,19 +194,6 @@ def test_softmax_cross_entropy_matches_hand_value():
     assert loss == pytest.approx(-np.log(z[0] / z.sum()), rel=1e-6)
     assert dlogits.shape == (1, 3)
     assert dlogits.sum() == pytest.approx(0.0, abs=1e-7)
-
-
-def test_strategy_swap_preserves_logits(tmp_path):
-    # the strategy is a label of the layout, not a code path: logits are identical
-    cfg = TrainConfig()
-    images = synthetic_bars(8, Rng(1)).images
-    want, _ = _net(cfg).forward(images)
-    for strategy in ("conv3d-style", "column-conv"):
-        other = _net(TrainConfig(strategy=strategy))
-        assert np.array_equal(other.forward(images)[0], want)
-        save_net(other, tmp_path / "net.ldt")
-        back, _ = load_net(tmp_path / "net.ldt")
-        assert back.ld1.strategy == back.ld2.strategy == strategy
 
 
 def test_evaluate_tie_breaks_to_lowest_class():
@@ -317,8 +307,17 @@ def test_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(strategy="sparse")
+    for eval_subset in (0, -1):
+        with pytest.raises(ValueError, match="eval_subset must be >= 1"):
+            TrainConfig(eval_subset=eval_subset)
+
+
+@pytest.mark.parametrize(("key", "value"), [
+    ("epochs", "2"), ("batch", 8.5), ("n1", 2.5), ("seed", True), ("lr", "0.1"),
+    ("lr", False), ("post", 1), ("data_dir", 3)])
+def test_config_rejects_mistyped_values(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+        TrainConfig(**{key: value})
 
 
 # -- checkpointing -----------------------------------------------------------------
@@ -341,7 +340,9 @@ def test_net_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoints_refuse_float64(tmp_path):
-    net = TinyNet.create(dtype=np.float64)
+    net = TinyNet(**{name: part.astype(np.float64)
+                     for name, part in vars(TinyNet.create()).items()})
+    assert all(arr.dtype == np.float64 for arr in net.params().values())
     with pytest.raises(ValueError, match="float32 only"):
         save_net(net, tmp_path / "net.ldt")
     # one float64 layer in an otherwise float32 net is refused as well
@@ -371,6 +372,25 @@ def test_shape_file_checkpoint_loads_from_any_directory(tmp_path, monkeypatch):
         load_net(path)
 
 
+def test_sidecar_with_old_strategy_keys_still_loads(tmp_path):
+    # sidecars written before the layout label was dropped hold "strategy" in
+    # both layers and in the config; the loader ignores it
+    net = TinyNet.create(rng=Rng(4))
+    for layer in (net.ld1, net.ld2):
+        gen = np.random.default_rng(layer.c_in)
+        layer.offset_w = gen.uniform(-0.1, 0.1, layer.offset_w.shape).astype(np.float32)
+    path = tmp_path / "old.ldt"
+    save_net(net, path, TrainConfig())
+    sidecar = json.loads(Path(str(path) + ".json").read_text())
+    for part in ("ld1", "ld2", "config"):
+        sidecar[part]["strategy"] = "column-conv"
+    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    back, loaded = load_net(path)
+    assert loaded["config"]["strategy"] == "column-conv"
+    images = synthetic_bars(8, Rng(4)).images
+    assert np.array_equal(back.forward(images)[0], net.forward(images)[0])
+
+
 def test_load_net_rejects_layer_checkpoint(tmp_path):
     net = TinyNet.create(n1=3)
     path = tmp_path / "layer.ldt"
@@ -386,16 +406,16 @@ def test_load_net_rejects_layer_checkpoint(tmp_path):
 _CHECKPOINT_SHA256 = {
     ("default", None): (
         "5485dd766d9cc1541e54b487811378838f9b675c495c1a78a4746582bdf88809",
-        "bf803afa2ef1e0fcfea4efa78f47f20fda45d74031813abb168eb873e93bd7de"),
+        "ed6176b68d4e2d3827d584005a3e8b6d90ac2e2924b71770b326d49db5d3b607"),
     ("default", "plus_5"): (
         "5485dd766d9cc1541e54b487811378838f9b675c495c1a78a4746582bdf88809",
-        "4dd53fe387995e52e87851bb4cf4a66bccedbbb278d9eb2ab0889b1461af4dca"),
+        "d321470f4931015da7f42b622350f2947460613b6a33bdade5a3cf5fb4eef37d"),
     ("none", None): (
         "2e15509a7e10737e41cbe23780cbee2d798eb69b6626530b13bb44811ab87a85",
-        "9d698810922d1e122d49c1ef0a5f2e54bc28f997512d6eab95fbe0226aedbed5"),
+        "235c967a2373bb8ad16b29c4c735266130d9af941db0819e91795b4c28c02d16"),
     ("none", "plus_5"): (
         "2e15509a7e10737e41cbe23780cbee2d798eb69b6626530b13bb44811ab87a85",
-        "4917126d65fa49a9093bdc013b279cf5ba64cfcadf24cef07f51f3915f48beb2"),
+        "0faade4da0be443dd932f7499c1dc57f9e86d51067889ec431cd423e96302de0"),
 }
 
 

@@ -77,7 +77,7 @@ class LayerCache:
 
 @dataclass
 class LayerGrads:
-    x: Tensor4
+    x: Tensor4 | None             # None when backward ran with input_grad=False
     offset_w: np.ndarray
     offset_b: np.ndarray
     agg_w: np.ndarray
@@ -327,8 +327,14 @@ class LdconvLayer:
 
     # -- backward ------------------------------------------------------------
 
-    def backward(self, cache: LayerCache, upstream: Tensor4) -> LayerGrads:
-        """Gradients of sum(upstream * forward(x)) for input and all parameters."""
+    def backward(self, cache: LayerCache, upstream: Tensor4, *,
+                 input_grad: bool = True) -> LayerGrads:
+        """Gradients of sum(upstream * forward(x)) for input and all parameters.
+
+        With input_grad=False the input gradient is not computed and grads.x
+        is None, for a first layer whose input needs none; every parameter
+        gradient is the same either way.
+        """
         up = upstream.data if isinstance(upstream, Tensor4) else np.asarray(upstream)
         if up.shape != cache.mixed.shape:
             raise ShapeError(f"upstream shape {up.shape} != output shape {cache.mixed.shape}")
@@ -352,7 +358,8 @@ class LdconvLayer:
 
         # bilinear sampling
         xp_t = Tensor4(cache.xp)
-        grad_xp_t, grad_rows, grad_cols = bilinear_backward(xp_t, cache.grid, grad_sampled)
+        grad_xp_t, grad_rows, grad_cols = bilinear_backward(xp_t, cache.grid, grad_sampled,
+                                                            input_grad=input_grad)
 
         # grid -> offset field (anchors and initial coordinates are constant)
         grad_field = np.concatenate([grad_rows, grad_cols], axis=1).reshape(b_n, 2 * self.n, cells)
@@ -368,18 +375,19 @@ class LdconvLayer:
         del windows_t
         grad_offset_b = grad_field.sum(axis=(0, 2))
 
-        w_off = self.offset_w.reshape(2 * self.n, -1)
-        grad_windows = (w_off.T @ grad_field).reshape(b_n, self.c_in, 3, 3, h_out, w_out)
-        grad_xpp = np.zeros((b_n, self.c_in, h_pad + 2, w_pad + 2), dtype=grad_xp_t.dtype)
-        s = self.stride
-        for kh in range(3):
-            for kw in range(3):
-                grad_xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
-                         kw:kw + (w_out - 1) * s + 1:s] += grad_windows[:, :, kh, kw]
-        grad_xp = grad_xp_t.data + grad_xpp[:, :, 1:-1, 1:-1]
-        grad_x = grad_xp[:, :, p:h_pad - p, p:w_pad - p]
-        return LayerGrads(x=_owned(np.ascontiguousarray(grad_x)),
-                          offset_w=grad_offset_w, offset_b=grad_offset_b,
+        grad_x = None
+        if input_grad:
+            w_off = self.offset_w.reshape(2 * self.n, -1)
+            grad_windows = (w_off.T @ grad_field).reshape(b_n, self.c_in, 3, 3, h_out, w_out)
+            grad_xpp = np.zeros((b_n, self.c_in, h_pad + 2, w_pad + 2), dtype=grad_xp_t.dtype)
+            s = self.stride
+            for kh in range(3):
+                for kw in range(3):
+                    grad_xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
+                             kw:kw + (w_out - 1) * s + 1:s] += grad_windows[:, :, kh, kw]
+            grad_xp = grad_xp_t.data + grad_xpp[:, :, 1:-1, 1:-1]
+            grad_x = _owned(np.ascontiguousarray(grad_xp[:, :, p:h_pad - p, p:w_pad - p]))
+        return LayerGrads(x=grad_x, offset_w=grad_offset_w, offset_b=grad_offset_b,
                           agg_w=grad_agg_w, agg_b=grad_agg_b,
                           post_scale=grad_scale, post_shift=grad_shift)
 

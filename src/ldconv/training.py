@@ -10,6 +10,7 @@ from a built-in synthetic generator of axis-aligned bar images.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -178,7 +179,8 @@ class TinyNet:
         g2 = self.ld2.backward(cache["cache2"], _owned(dpool))
         for key, val in _layer_grads_dict(self.ld2, g2).items():
             grads[f"ld2.{key}"] = val
-        g1 = self.ld1.backward(cache["cache1"], g2.x)
+        # the images need no gradient, so ld1 skips its input gradient
+        g1 = self.ld1.backward(cache["cache1"], g2.x, input_grad=False)
         for key, val in _layer_grads_dict(self.ld1, g1).items():
             grads[f"ld1.{key}"] = val
         return grads
@@ -252,8 +254,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.subset < 1:
             raise ValueError(f"subset must be >= 1, got {self.subset}")
         if self.eval_subset < 1:
@@ -307,7 +309,9 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
             for start in range(0, len(data), config.batch):
                 where = f"epoch {epoch + 1}, batch {batches + 1}"
                 take = order[start:start + config.batch]
-                logits, cache = net.forward(data.images[take])
+                images = data.images[take]
+                images.setflags(write=False)   # fresh and ours: Tensor4 keeps it without a copy
+                logits, cache = net.forward(images)
                 loss, dlogits = softmax_cross_entropy(logits, data.labels[take])
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at {where}")

@@ -194,6 +194,13 @@ def test_train_rejects_bad_config_values(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_train_rejects_non_finite_lr(tmp_path, capsys, lr):
+    cfg = _tiny_config(tmp_path, lr=lr)       # written as JSON NaN / Infinity
+    assert main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")]) == 2
+    assert "lr must be finite" in capsys.readouterr().err
+
+
 def test_train_missing_config_file(tmp_path):
     assert main(["train", str(tmp_path / "nope.json"), "--synthetic",
                  "--out", str(tmp_path / "run")]) == 2

@@ -346,6 +346,26 @@ def test_gradients_at_strides_and_padding(stride, padding, post):
         assert res.passed, f"{res.group}: {res.max_rel_err:.3e} > {res.tol}"
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_backward_without_input_grad(stride, padding):
+    for post in ("none", "normalize+activation"):
+        for dtype in (np.float32, np.float64):
+            rng = Rng(stride + 10 * padding)
+            layer = _randomized(LdconvLayer.create(5, 3, 4, stride=stride, padding=padding,
+                                                   post=post, rng=rng), rng).astype(dtype)
+            x = rand_uniform((2, 3, 8, 7), rng, stream="x", dtype=dtype)
+            y, cache = layer.forward(x)
+            up = Tensor4(rng.stream("up").uniform(-1, 1, size=y.dims).astype(dtype))
+            full = layer.backward(cache, up)
+            skip = layer.backward(cache, up, input_grad=False)
+            assert full.x is not None and skip.x is None
+            for name in layer.params():
+                got, want = getattr(skip, name), getattr(full, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                    f"{post} {np.dtype(dtype)} {name}"
+
+
 def test_sabotage_is_detected():
     results = check_layer_gradients(dims=(1, 2, 5, 5), n=3, seed=0,
                                     dtype=np.float64, sabotage=True)

@@ -296,6 +296,9 @@ def test_plan_matches_reference(b_n, c_n, h, w, n_pts, h_out, w_out, seed):
     assert out.shape == ref.shape and gr.shape == rgr.shape == grid_shape
     for got, want in ((out, ref), (gx.data, rgx.data), (gr, rgr), (gc, rgc)):
         assert _rel_err(got, want) <= 1e-12
+    no_x, sr, sc = bilinear_backward(x, grid, up_vals, input_grad=False)
+    assert no_x is None
+    assert sr.tobytes() == gr.tobytes() and sc.tobytes() == gc.tobytes()
 
     x32 = x.astype(np.float32)
     grid32 = SampleGrid(rows.astype(np.float32), cols.astype(np.float32))

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from ldconv.geometry import load_custom_shape
-from ldconv.layer import layer_sidecar
-from ldconv.tensor import Rng
+from ldconv.layer import LdconvLayer, layer_sidecar
+from ldconv.tensor import Rng, Tensor4
 from ldconv.training import (
     Dataset,
     DivergenceError,
@@ -187,6 +187,75 @@ def test_forward_does_not_fault_its_temporaries_back_in():
     assert float(proc.stdout) < 200
 
 
+def test_net_backward_skips_only_ld1_input_grad(monkeypatch):
+    net = TinyNet.create(rng=Rng(4))
+    for layer in (net.ld1, net.ld2):
+        gen = np.random.default_rng(layer.c_in)
+        layer.offset_w = gen.uniform(-0.1, 0.1, layer.offset_w.shape).astype(np.float32)
+        layer.offset_b = gen.uniform(-0.5, 0.5, layer.offset_b.shape).astype(np.float32)
+    data = synthetic_bars(8, Rng(4))
+    logits, cache = net.forward(data.images)
+    _, dlogits = softmax_cross_entropy(logits, data.labels)
+
+    calls = []
+    backward = LdconvLayer.backward
+
+    def spy(layer, *args, **kwargs):
+        calls.append(("ld1" if layer is net.ld1 else "ld2", kwargs))
+        return backward(layer, *args, **kwargs)
+
+    monkeypatch.setattr(LdconvLayer, "backward", spy)
+    grads = net.backward(cache, dlogits)
+    assert calls == [("ld2", {}), ("ld1", {"input_grad": False})]
+
+    def with_input_grad(layer, *args, **kwargs):
+        return backward(layer, *args, **dict(kwargs, input_grad=True))
+
+    monkeypatch.setattr(LdconvLayer, "backward", with_input_grad)
+    full = net.backward(cache, dlogits)
+    assert list(grads) == list(full)
+    for name, grad in full.items():
+        assert grads[name].dtype == grad.dtype and grads[name].tobytes() == grad.tobytes(), name
+
+
+def test_train_step_copies_its_batch_once(monkeypatch):
+    # The batch train draws with a fancy index is already a fresh array, so
+    # Tensor4 keeps it; evaluate's slices are views of the dataset and are
+    # copied.  Counts the Tensor4 copies inside each TinyNet.forward.
+    copies = []          # [followed by a backward, Tensor4 copies] per forward
+    inside = []
+    post_init = Tensor4.__post_init__
+
+    def counting(self):
+        if inside and np.asarray(self.data).flags.writeable:
+            copies[-1][1] += 1
+        post_init(self)
+
+    forward, backward = TinyNet.forward, TinyNet.backward
+
+    def counted_forward(net, images):
+        copies.append([False, 0])
+        inside.append(True)
+        try:
+            return forward(net, images)
+        finally:
+            inside.pop()
+
+    def marked_backward(net, cache, dlogits):
+        copies[-1][0] = True           # the forward just before is a training step
+        return backward(net, cache, dlogits)
+
+    monkeypatch.setattr(Tensor4, "__post_init__", counting)
+    monkeypatch.setattr(TinyNet, "forward", counted_forward)
+    monkeypatch.setattr(TinyNet, "backward", marked_backward)
+    cfg = TrainConfig(epochs=1, subset=16, batch=8)
+    train(_net(cfg), synthetic_bars(16, Rng(1)), cfg)
+    steps = [count for trained, count in copies if trained]
+    others = [count for trained, count in copies if not trained]
+    assert steps == [0, 0]                      # the fancy index was the one copy
+    assert others and all(count == 1 for count in others)
+
+
 def test_softmax_cross_entropy_matches_hand_value():
     logits = np.array([[2.0, 0.0, 0.0]], dtype=np.float32)
     loss, dlogits = softmax_cross_entropy(logits, np.array([0]))
@@ -305,8 +374,9 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch=0)
-    with pytest.raises(ValueError):
-        TrainConfig(lr=-0.1)
+    for lr in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            TrainConfig(lr=lr)
     for eval_subset in (0, -1):
         with pytest.raises(ValueError, match="eval_subset must be >= 1"):
             TrainConfig(eval_subset=eval_subset)

@@ -60,16 +60,18 @@ def _fd_grad(loss_fn, param: np.ndarray, eps: float) -> np.ndarray:
 
 def check_sampler_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
                             eps: float = 1e-3, dtype=np.float64) -> list[GradCheckResult]:
-    """Finite-difference suite for bilinear_sample's three gradient outputs."""
+    """Finite-difference suite for bilinear_sample's gradients; needs H, W >= 2."""
     dtype = np.dtype(dtype)
     rng = Rng(seed)
     b_n, c_n, h_in, w_in = dims
+    if h_in < 2 or w_in < 2:
+        raise ValueError(f"sampler check needs H, W >= 2, got {h_in}x{w_in}")
     h_out, w_out = h_in - 1, w_in - 1
     gen = rng.stream("sampler/fixture")
     x_arr = gen.random(dims).astype(dtype)
 
     def coords(limit):
-        cells = gen.integers(0, max(limit - 1, 1), size=(b_n, n, h_out, w_out))
+        cells = gen.integers(0, limit - 1, size=(b_n, n, h_out, w_out))
         frac = gen.uniform(0.2, 0.8, size=cells.shape)
         vals = cells + frac
         # push a fifth of the coordinates deep past the clamp range

@@ -6,27 +6,28 @@ u = s - s0, the sample is
 
     (1-t)(1-u) x[r0,s0] + (1-t)u x[r0,s1] + t(1-u) x[r1,s0] + t u x[r1,s1].
 
-The coordinate gradient is zero wherever the raw coordinate fell outside the
-clamp range (the clamp is flat there); at exact lattice points the floor-based
-cell supplies the subgradient.
+The coordinate gradient is zero wherever the raw coordinate, compared in the
+grid's own dtype, fell outside the clamp range (the clamp is flat there); at
+exact lattice points the floor-based cell supplies the subgradient.
 
 Every channel shares a sample's coordinates, so both directions work on a
 channels-last view of the input: row (b*H + h)*W + w of a (B*H*W, C) matrix
 holds the C values of one pixel.  One plan per call clamps the grid once and
-gives each sample its top-left corner row, the steps to the other three
-corners and the fractions t, u; for the backward it also marks the
-coordinates the clamp moved.  The forward gathers whole rows one corner at
-a time and accumulates them; a stacked four-corner gather would raise peak
-memory.  The backward gathers the four corners together, contracts them with
-the upstream over C for the coordinate gradients, and scatters the input
-gradient with one float64 bincount per channel over the shared corner index,
-so the sum is accumulated in float64 in a fixed order whatever the dtype.
-A caller whose input needs no gradient (a network's first layer) passes
-input_grad=False and the scatter, the larger part of the backward, is
-skipped.  The backward rebuilds the plan rather than have forward cache it: four
-int64 indices and four weights per sample are 12x the float32 samples of a
-one-channel input, which inference would carry for a backward it never runs,
-while the rebuild is a few elementwise passes over the grid.
+gives each sample its four corner rows as one (4, B, P) index, and the
+fractions t, u that _weights turns into the matching (4, B, P) weights;
+forward and backward both read these.  The forward gathers whole rows one
+corner at a time and accumulates them; a stacked four-corner gather would
+raise peak memory.  The backward gathers the four corners together,
+contracts them with the upstream over C for the coordinate gradients, and
+scatters the input gradient with one float64 bincount per channel over the
+shared corner index, so the sum is accumulated in float64 in a fixed order
+whatever the dtype.  A caller whose input needs no gradient (a network's
+first layer) passes input_grad=False and the scatter, the larger part of the
+backward, is skipped.  The backward rebuilds the plan rather than have
+forward cache it: four int64 indices and four weights per sample are 12x the
+float32 samples of a one-channel input, which inference would carry for a
+backward it never runs, while the rebuild is a few elementwise passes over
+the grid.
 """
 
 from __future__ import annotations
@@ -65,70 +66,72 @@ class SampleGrid:
         return self.rows.shape
 
 
-def _plan(x_arr: np.ndarray, grid: SampleGrid, *, masks: bool = False):
+def _plan(x_arr: np.ndarray, grid: SampleGrid):
     """Four-corner interpolation plan of one sampling call.
 
     Returns the channels-last rows (B*H*W, C) of x; per sample (B, P), with
-    P = N*H_out*W_out, the row of the top-left corner, the steps from it to
-    the lower and to the right corners (W resp. 1, or 0 on the last row resp.
-    column, which is r1 = min(r0 + 1, H-1)); the fractions t, u; and, with
-    masks (for the backward), the masks of the rows and of the cols the clamp
-    moved, else None.  The clamp runs in the grid's dtype, where clipped != raw
-    is exactly "outside [0, extent-1]", before the cast to x's dtype.
+    P = N*H_out*W_out, a (4, B, P) index of the rows of its top-left, right,
+    lower and lower-right corners (on the last column the right corner is the
+    left one again, on the last row the lower one the upper, which is
+    r1 = min(r0 + 1, H-1)); and the fractions t, u.  The clamp runs in the
+    grid's dtype, before the cast to x's dtype.  Raises ShapeError unless grid
+    and x have the same batch.
     """
     b_n, c_n, h_in, w_in = x_arr.shape
     dtype = x_arr.dtype
+    if grid.dims[0] != b_n:
+        raise ShapeError(f"grid batch {grid.dims[0]} != input batch {b_n}")
     raw_r = grid.rows.reshape(b_n, -1)
     raw_c = grid.cols.reshape(b_n, -1)
-    t = np.clip(raw_r, raw_r.dtype.type(0), raw_r.dtype.type(h_in - 1))
-    u = np.clip(raw_c, raw_c.dtype.type(0), raw_c.dtype.type(w_in - 1))
-    clamped = (t != raw_r, u != raw_c) if masks else None
-    t = t.astype(dtype, copy=False)
-    u = u.astype(dtype, copy=False)
+    t = np.clip(raw_r, raw_r.dtype.type(0), raw_r.dtype.type(h_in - 1)).astype(dtype, copy=False)
+    u = np.clip(raw_c, raw_c.dtype.type(0), raw_c.dtype.type(w_in - 1)).astype(dtype, copy=False)
     r0 = np.floor(t)
     s0 = np.floor(u)
     t -= r0
     u -= s0
-    down = np.where(r0 < h_in - 1, w_in, 0)
-    right = np.where(s0 < w_in - 1, 1, 0)
-    top_left = r0.astype(np.int64)
+    corner = np.empty((4,) + t.shape, dtype=np.int64)
+    top_left = corner[0]
+    top_left[...] = r0
     top_left *= w_in
     top_left += s0.astype(np.int64)
     top_left += np.arange(b_n, dtype=np.int64)[:, None] * (h_in * w_in)
+    right = np.where(s0 < w_in - 1, 1, 0)
+    np.add(top_left, right, out=corner[1])
+    np.add(top_left, np.where(r0 < h_in - 1, w_in, 0), out=corner[2])
+    np.add(corner[2], right, out=corner[3])
     rows = np.ascontiguousarray(x_arr.transpose(0, 2, 3, 1)).reshape(-1, c_n)
-    return rows, top_left, down, right, t, u, clamped
+    return rows, corner, t, u
 
 
-def _weights(t: np.ndarray, u: np.ndarray, out=(None,) * 4):
-    """Bilinear weights of the top-left, right, lower and lower-right corners,
-    as four fresh arrays or written into the four rows of out."""
+def _weights(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(4, B, P) bilinear weights of the corners in _plan's order."""
     one = t.dtype.type(1)
-    t1 = one - t
-    u1 = one - u
-    return (np.multiply(t1, u1, out=out[0]), np.multiply(t1, u, out=out[1]),
-            np.multiply(t, u1, out=out[2]), np.multiply(t, u, out=out[3]))
+    t1, u1 = one - t, one - u
+    weight = np.empty((4,) + t.shape, dtype=t.dtype)
+    np.multiply(t1, u1, out=weight[0])
+    np.multiply(t1, u, out=weight[1])
+    np.multiply(t, u1, out=weight[2])
+    np.multiply(t, u, out=weight[3])
+    return weight
 
 
 def bilinear_sample(x: Tensor4, grid: SampleGrid) -> np.ndarray:
     """Sample x at grid coordinates; returns (B, C, N, H_out, W_out)."""
-    if grid.dims[0] != x.dims[0]:
-        raise ShapeError(f"grid batch {grid.dims[0]} != input batch {x.dims[0]}")
-    b_n, c_n = x.dims[:2]
-    rows, top_left, down, right, t, u, _ = _plan(x.data, grid)
-    w00, w01, w10, w11 = _weights(t, u)
+    rows, corner, t, u = _plan(x.data, grid)
+    weight = _weights(t, u)
+    del t, u
     # one corner at a time: a stacked (4, B, P, C) gather raises peak memory
-    out = np.take(rows, top_left, axis=0)                 # (B, P, C)
-    out *= w00[:, :, None]
+    out = np.take(rows, corner[0], axis=0)                # (B, P, C)
+    out *= weight[0][:, :, None]
     term = np.empty_like(out)
-    for index, weight in ((top_left + right, w01), (top_left + down, w10),
-                          (top_left + down + right, w11)):
+    for k in range(1, 4):
         # in range by construction; mode 'raise' would buffer the out array
-        np.take(rows, index, axis=0, out=term, mode="clip")
-        term *= weight[:, :, None]
+        np.take(rows, corner[k], axis=0, out=term, mode="clip")
+        term *= weight[k][:, :, None]
         out += term
-    del term
-    out = np.ascontiguousarray(out.transpose(0, 2, 1))
-    return out.reshape((b_n, c_n) + grid.dims[1:])
+    # held across the copy below, the plan fragments the heap (+8 MB peak RSS)
+    del term, corner, weight, rows
+    return np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(x.dims[:2] + grid.dims[1:])
 
 
 def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
@@ -142,18 +145,10 @@ def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
     x_arr = x.data
     b_n, c_n, h_in, w_in = x_arr.shape
     upstream = np.asarray(upstream, dtype=x_arr.dtype)
-    b0, n_pts, h_out, w_out = grid.dims
-    if upstream.shape != (b_n, c_n, n_pts, h_out, w_out):
-        raise ShapeError(
-            f"upstream shape {upstream.shape} != {(b_n, c_n, n_pts, h_out, w_out)}")
+    if upstream.shape != (b_n, c_n) + grid.dims[1:]:
+        raise ShapeError(f"upstream shape {upstream.shape} != {(b_n, c_n) + grid.dims[1:]}")
 
-    rows, top_left, down, right, t, u, (clamped_r, clamped_c) = _plan(x_arr, grid, masks=True)
-    corner = np.empty((4,) + top_left.shape, dtype=np.int64)
-    corner[0] = top_left
-    np.add(top_left, right, out=corner[1])
-    np.add(top_left, down, out=corner[2])
-    np.add(corner[2], right, out=corner[3])
-    del top_left, down, right
+    rows, corner, t, u = _plan(x_arr, grid)
     up = upstream.reshape(b_n, c_n, -1)
     up_rows = np.ascontiguousarray(up.transpose(0, 2, 1))          # (B, P, C)
     # per corner, the gathered rows contracted with the upstream over C
@@ -161,19 +156,17 @@ def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
     del up_rows
 
     one = x_arr.dtype.type(1)
-    grad_rows = (one - u) * (a10 - a00) + u * (a11 - a01)
-    grad_cols = (one - t) * (a01 - a00) + t * (a11 - a10)
-    grad_rows[clamped_r] = 0
-    grad_cols[clamped_c] = 0
-    grad_rows = grad_rows.reshape(grid.dims)
-    grad_cols = grad_cols.reshape(grid.dims)
+    grad_rows = ((one - u) * (a10 - a00) + u * (a11 - a01)).reshape(grid.dims)
+    grad_cols = ((one - t) * (a01 - a00) + t * (a11 - a10)).reshape(grid.dims)
+    # the clamp is flat outside [0, extent-1], judged in the grid's dtype
+    grad_rows[(grid.rows < 0) | (grid.rows > h_in - 1)] = 0
+    grad_cols[(grid.cols < 0) | (grid.cols > w_in - 1)] = 0
     if not input_grad:
         return None, grad_rows, grad_cols
 
     # One float64 bincount per channel over the shared corner index; the
     # products are taken in the input dtype and summed in float64.
-    weight = np.empty((4,) + t.shape, dtype=t.dtype)
-    _weights(t, u, out=weight)
+    weight = _weights(t, u)
     corner = corner.reshape(-1)
     contrib = np.empty(weight.shape, dtype=np.float64)
     grad_x = np.empty_like(x_arr)

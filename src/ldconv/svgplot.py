@@ -21,17 +21,15 @@ class SvgCanvas:
             self.parts.append(f"<!-- generated {timestamp} -->")
         self.parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
 
-    def line(self, x1, y1, x2, y2, color="#888", width=1.0, dash=None):
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, color="#888"):
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{_fmt(width)}"{extra}/>')
+            f'stroke="{color}" stroke-width="1"/>')
 
-    def polyline(self, points, color, width=1.5):
+    def polyline(self, points, color):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}"/>')
+            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
     def circle(self, cx, cy, r, color):
         self.parts.append(

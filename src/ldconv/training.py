@@ -263,8 +263,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
@@ -372,17 +373,22 @@ def load_net(path) -> tuple[TinyNet, dict]:
     """Rebuild a float32 TinyNet from a container + sidecar; returns (net, sidecar).
 
     The sidecar fixes the structure, the classifier included; every params()
-    entry is then filled from the record of the same name.  A missing record,
-    or one whose size disagrees with the structure, raises ValueError naming it.
+    entry is then filled from the record of the same name.  A sidecar key or a
+    record that is missing or disagrees with the structure raises ValueError.
     """
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{path}: sidecar is not a JSON object")
     if sidecar.get("kind") != "tinynet":
         raise ValueError(f"{path}: not a network checkpoint")
     records = read_tensors(path)
-    ld2 = layer_from_sidecar(sidecar["ld2"])
-    classes = int(sidecar["classes"])
-    net = TinyNet(ld1=layer_from_sidecar(sidecar["ld1"]), ld2=ld2,
+    try:
+        ld1, ld2 = (layer_from_sidecar(sidecar[key]) for key in ("ld1", "ld2"))
+        classes = int(sidecar["classes"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: sidecar has no key {exc.args[0]!r}") from None
+    net = TinyNet(ld1=ld1, ld2=ld2,
                   fc_w=np.zeros((classes, ld2.c_out), dtype=np.float32),
                   fc_b=np.zeros(classes, dtype=np.float32))
     for name, arr in net.params().items():

@@ -98,6 +98,15 @@ def test_check_grad_bad_dims(capsys):
     assert main(["check-grad", "--dims", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize("dims", ["1,2,1,5", "1,2,5,1"])
+def test_check_grad_refuses_dims_with_an_empty_sampler_grid(capsys, dims):
+    # the sampler fixture's grid is (H-1) x (W-1): a PASS there checked nothing
+    assert main(["check-grad", "--dims", dims, "--f64"]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "H, W >= 2" in captured.err
+
+
 # -- bench ------------------------------------------------------------------------
 
 
@@ -163,6 +172,15 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys):
     cfg = _tiny_config(tmp_path, optimizer="adam")
     assert main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("text", "kind"), [("5", "int"), ("null", "NoneType"),
+                                           ("[1]", "list"), ('"ab"', "str")])
+def test_train_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text, kind):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")]) == 2
+    assert f"config must be a JSON object, got {kind}" in capsys.readouterr().err
 
 
 def test_train_blow_up_is_a_divergence_not_a_usage_error(tmp_path, capsys):
@@ -281,6 +299,27 @@ def test_analyze_ao_refuses_a_classifier_narrower_than_ld2(tmp_path, capsys):
                  "--out", str(tmp_path / "ao")])
     assert code == 2
     assert "'fc.w'" in capsys.readouterr().err
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize(("damage", "message"), [
+    (lambda s: {**s, "ld2": _without(s["ld2"], "stride")}, "sidecar has no key 'stride'"),
+    (lambda s: _without(s, "classes"), "sidecar has no key 'classes'"),
+    (lambda s: [1, 2], "sidecar is not a JSON object"),
+], ids=["no-ld2-stride", "no-classes", "not-an-object"])
+def test_analyze_ao_refuses_a_damaged_sidecar(tmp_path, capsys, damage, message):
+    path = _make_checkpoint(tmp_path, "damaged.ldt")
+    sidecar_path = Path(str(path) + ".json")
+    sidecar_path.write_text(json.dumps(damage(json.loads(sidecar_path.read_text()))))
+    with pytest.raises(ValueError, match=f"damaged.ldt: {message}"):
+        load_net(path)
+    code = main(["analyze-ao", "--checkpoint", str(path), "--probe", str(_make_probe(tmp_path)),
+                 "--out", str(tmp_path / "ao")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 # -- growth -----------------------------------------------------------------------

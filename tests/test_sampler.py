@@ -207,6 +207,10 @@ def test_backward_rejects_bad_upstream():
     grid = _single_point(1.0, 1.0)
     with pytest.raises(ShapeError, match="upstream"):
         bilinear_backward(x, grid, np.zeros((1, 2, 2, 1, 1)))
+    # a batch-1 grid with a batch-2 input, the upstream shaped for the input
+    x2 = Tensor4(np.zeros((2, 2, 3, 3)))
+    with pytest.raises(ShapeError, match="grid batch 1 != input batch 2"):
+        bilinear_backward(x2, grid, np.zeros((2, 2, 1, 1, 1)))
 
 
 def test_backward_grad_x_scatters_corner_weights():
@@ -238,6 +242,38 @@ def test_backward_zeroes_coordinate_grads_outside_range():
     assert grad_cols[0, 0, 0, 0] != 0.0      # column in range
     assert grad_cols[0, 0, 0, 1] == 0.0      # column clamped above
     assert grad_rows[0, 0, 0, 1] != 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clamp_edge_is_judged_on_the_raw_grid(dtype):
+    # A float64 grid on and just past each edge.  Past H-1 (W-1) the clamped
+    # cell is flat, so the gradient is 0 whatever the mask; -1e-50 rounds to
+    # -0.0 in float32, where a mask taken after the cast to the input's dtype
+    # would keep the gradient of the cell at 0.  The raw grid says outside.
+    h, w = 4, 5
+    gen = np.random.default_rng(5)
+    x = Tensor4(gen.uniform(-1, 1, size=(1, 2, h, w)).astype(dtype))
+    rows = np.array([-1e-12, -1e-50, 0.0, 1.5, h - 1, h - 1 + 1e-12])
+    cols = np.array([-1e-12, -1e-50, 0.0, 2.5, w - 1, w - 1 + 1e-12])
+    rr, cc = np.meshgrid(rows, cols, indexing="ij")
+    grid = _grid(rr.reshape(1, -1, 1, 1), cc.reshape(1, -1, 1, 1))
+    up = gen.uniform(-1, 1, size=(1, 2, rr.size, 1, 1)).astype(dtype)
+    _, gr, gc = bilinear_backward(x, grid, up)
+    _, rgr, rgc = reference_backward(x, grid, up)
+    assert gr.dtype == dtype and (gr != 0).any() and (gc != 0).any()
+    assert np.array_equal(gr == 0, rgr == 0)
+    assert np.array_equal(gc == 0, rgc == 0)
+    outside_r = (rr < 0) | (rr > h - 1)
+    outside_c = (cc < 0) | (cc > w - 1)
+    assert np.all(gr.reshape(rr.shape)[outside_r] == 0)
+    assert np.all(gc.reshape(cc.shape)[outside_c] == 0)
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 1, 5), (1, 2, 5, 1)])
+def test_sampler_gradcheck_refuses_an_empty_grid(dims):
+    # the fixture's grid is (H-1) x (W-1): nothing to check when H or W is 1
+    with pytest.raises(ValueError, match="H, W >= 2"):
+        check_sampler_gradients(dims=dims)
 
 
 def test_gradients_match_finite_differences():

@@ -142,9 +142,8 @@ def shape_ao_compare(checkpoint_paths,
     reports: list[tuple[str, AoReport, KernelGeometry]] = []
     reference = None
     for path in checkpoint_paths:
-        net, sidecar = load_net(path)
-        signature = [(layer["n"], layer["c_in"], layer["c_out"], layer["stride"],
-                      layer["padding"]) for layer in (sidecar["ld1"], sidecar["ld2"])]
+        net, _ = load_net(path)
+        signature = [(ld.n, ld.c_in, ld.c_out, ld.stride, ld.padding) for ld in (net.ld1, net.ld2)]
         if reference is None:
             reference = signature
         elif signature != reference:

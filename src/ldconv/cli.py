@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import ao_csv, average_offset, growth_audit, growth_csv, shape_ao_compare
 from .gradcheck import check_layer_gradients, check_sampler_gradients
 from .geometry import gen_initial_coords, load_custom_shape
-from .layer import LdconvLayer
+from .layer import POST_MODES, LdconvLayer
 from .report import RunReport, now_stamp
 from .svgplot import line_chart_svg, shape_scatter_svg
 from .tensor import Rng, rand_uniform, read_tensors
@@ -126,7 +126,8 @@ def _cmd_bench(args) -> int:
     if args.warmup < 0:
         raise ValueError(f"--warmup must be >= 0, got {args.warmup}")
     rng = Rng(0)
-    layer = LdconvLayer.create(args.n, c_in, args.c_out, rng=rng, name="bench")
+    layer = LdconvLayer.create(args.n, c_in, args.c_out, stride=args.stride, post=args.post,
+                               rng=rng, name="bench")
     layer.offset_w = rng.stream("bench/offw").uniform(
         -0.1, 0.1, size=layer.offset_w.shape).astype(np.float32)
     layer.offset_b = rng.stream("bench/offb").uniform(
@@ -161,8 +162,9 @@ def _cmd_bench(args) -> int:
     if args.out:
         RunReport(
             command="bench",
-            config={"n": args.n, "c_in": c_in, "c_out": args.c_out,
-                    "dims": list(dims), "iters": args.iters, "warmup": args.warmup},
+            config={"n": args.n, "c_in": c_in, "c_out": args.c_out, "stride": args.stride,
+                    "post": args.post, "dims": list(dims), "iters": args.iters,
+                    "warmup": args.warmup},
             timestamp=None if args.no_timestamp else now_stamp(),
             metrics=metrics, artifacts={},
         ).save(args.out)
@@ -333,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--c-out", type=int, default=16)
     p.add_argument("--dims", default="2,8,16,16", help="input dims B,C,H,W; C is the layer's c_in")
+    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--post", choices=POST_MODES, default="none")
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--out", default=None)

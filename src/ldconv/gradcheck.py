@@ -121,7 +121,6 @@ def _layer_fixture(dims, n: int, seed: int, dtype, post: str, stride: int, paddi
     jitter = 0.02 / (9.0 * c_in)
     layer.offset_w = gen.uniform(-jitter, jitter,
                                  size=(2 * n, c_in, 3, 3)).astype(dtype)
-    layer.agg_w = layer.agg_w.astype(dtype)
     if layer.agg_b is not None:
         layer.agg_b = gen.uniform(-0.1, 0.1, size=c_out).astype(dtype)
     x_arr = gen.random(dims).astype(dtype)

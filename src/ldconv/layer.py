@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import KernelGeometry, base_grid, gen_initial_coords
 from .sampler import SampleGrid, bilinear_backward, bilinear_sample
@@ -217,19 +218,14 @@ class LdconvLayer:
 
         The conv runs over the layer-padded input with its own padding of 1,
         so x is zero-padded by padding + 1 in one go.  Row c*9 + kh*3 + kw is
-        channel c at tap (kh, kw), matching offset_w.reshape(2n, c_in*9).  It
-        holds nine copies of the input, so callers free it right after its
-        GEMM rather than cache it.
+        channel c at tap (kh, kw), matching offset_w.reshape(2n, c_in*9).  One
+        copy of a strided window view, it holds nine copies of the input, so
+        callers free it right after its GEMM rather than cache it.
         """
-        xpp = pad2d(x, self.padding + 1)
-        b_n, c_in = x.shape[:2]
         s = self.stride
-        cols = np.empty((b_n, c_in, 3, 3, h_out, w_out), dtype=x.dtype)
-        for kh in range(3):
-            for kw in range(3):
-                cols[:, :, kh, kw] = xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
-                                         kw:kw + (w_out - 1) * s + 1:s]
-        return cols.reshape(b_n, c_in * 9, h_out * w_out)
+        taps = sliding_window_view(pad2d(x, self.padding + 1), (3, 3), axis=(2, 3))
+        taps = taps[:, :, ::s, ::s][:, :, :h_out, :w_out].transpose(0, 1, 4, 5, 2, 3)
+        return np.ascontiguousarray(taps).reshape(x.shape[0], -1, h_out * w_out)
 
     def offsets(self, x: Tensor4) -> OffsetField:
         """Offset field predicted for x: the offset conv alone, one GEMM over
@@ -251,12 +247,10 @@ class LdconvLayer:
         dtype = offsets.data.dtype
         row_anchor = (np.arange(h_out, dtype=dtype) * dtype.type(self.stride))
         col_anchor = (np.arange(w_out, dtype=dtype) * dtype.type(self.stride))
-        geo_r = self.geometry.rows().astype(dtype)
-        geo_c = self.geometry.cols().astype(dtype)
-        rows = offsets.row_offsets() + geo_r[None, :, None, None] \
-            + row_anchor[None, None, :, None]
-        cols = offsets.col_offsets() + geo_c[None, :, None, None] \
-            + col_anchor[None, None, None, :]
+        rows = offsets.row_offsets() + self.geometry.rows().astype(dtype)[None, :, None, None]
+        rows += row_anchor[None, None, :, None]
+        cols = offsets.col_offsets() + self.geometry.cols().astype(dtype)[None, :, None, None]
+        cols += col_anchor[None, None, None, :]
         rows.setflags(write=False)    # fresh and ours: SampleGrid keeps them without a copy
         cols.setflags(write=False)
         return SampleGrid(rows=rows, cols=cols)
@@ -277,12 +271,18 @@ class LdconvLayer:
     def _post_forward(self, mixed: np.ndarray):
         """Per-channel normalisation over (B, H, W) plus x*sigmoid(x)."""
         dtype = mixed.dtype
-        mean = mixed.mean(axis=(0, 2, 3), keepdims=True)
-        var = mixed.var(axis=(0, 2, 3), keepdims=True)
+        # np.var's own steps, on the centred array that xhat then reuses
+        xhat = mixed - mixed.mean(axis=(0, 2, 3), keepdims=True)
+        var = np.square(xhat).sum(axis=(0, 2, 3), keepdims=True)
+        var /= np.intp(xhat.size // xhat.shape[1])    # np.var divides by an intp count
         inv_std = 1.0 / np.sqrt(var + dtype.type(_NORM_EPS))
-        xhat = (mixed - mean) * inv_std
-        z = self.post_scale[None, :, None, None] * xhat + self.post_shift[None, :, None, None]
-        sig = 1.0 / (1.0 + np.exp(-z))
+        xhat *= inv_std
+        z = self.post_scale[None, :, None, None] * xhat
+        z += self.post_shift[None, :, None, None]
+        sig = np.negative(z)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
         y = z * sig
         cache = {"xhat": xhat, "inv_std": inv_std, "z": z, "sig": sig}
         return y.astype(dtype, copy=False), cache
@@ -408,6 +408,13 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
     return sidecar
 
 
+def sidecar_int(sidecar: dict, key: str) -> int:
+    """sidecar[key], which must be a JSON integer; ValueError naming the key."""
+    if isinstance(sidecar[key], bool) or not isinstance(sidecar[key], int):
+        raise ValueError(f"sidecar key {key!r} is not an integer: {sidecar[key]!r}")
+    return sidecar[key]
+
+
 def layer_from_sidecar(sidecar: dict) -> LdconvLayer:
     """Float32 layer of the structure the sidecar describes, its parameters
     freshly initialised: the caller fills every params() entry.  Keys it does
@@ -418,7 +425,7 @@ def layer_from_sidecar(sidecar: dict) -> LdconvLayer:
     elif sidecar.get("shape_file"):
         raise ValueError(f"sidecar names shape file {sidecar['shape_file']!r} but records "
                          "no coords, so the kernel geometry cannot be restored")
-    return LdconvLayer.create(
-        int(sidecar["n"]), int(sidecar["c_in"]), int(sidecar["c_out"]),
-        stride=int(sidecar["stride"]), padding=int(sidecar["padding"]),
-        post=sidecar["post"], geometry=geometry)
+    n, c_in, c_out, stride, padding = (sidecar_int(sidecar, key) for key in
+                                       ("n", "c_in", "c_out", "stride", "padding"))
+    return LdconvLayer.create(n, c_in, c_out, stride=stride, padding=padding,
+                              post=sidecar["post"], geometry=geometry)

@@ -11,23 +11,22 @@ grid's own dtype, fell outside the clamp range (the clamp is flat there); at
 exact lattice points the floor-based cell supplies the subgradient.
 
 Every channel shares a sample's coordinates, so both directions work on a
-channels-last view of the input: row (b*H + h)*W + w of a (B*H*W, C) matrix
-holds the C values of one pixel.  One plan per call clamps the grid once and
-gives each sample its four corner rows as one (4, B, P) index, and the
-fractions t, u that _weights turns into the matching (4, B, P) weights;
-forward and backward both read these.  The forward gathers whole rows one
-corner at a time and accumulates them; a stacked four-corner gather would
-raise peak memory.  The backward gathers the four corners together,
-contracts them with the upstream over C for the coordinate gradients, and
-scatters the input gradient with one float64 bincount per channel over the
-shared corner index, so the sum is accumulated in float64 in a fixed order
-whatever the dtype.  A caller whose input needs no gradient (a network's
-first layer) passes input_grad=False and the scatter, the larger part of the
-backward, is skipped.  The backward rebuilds the plan rather than have
-forward cache it: four int64 indices and four weights per sample are 12x the
-float32 samples of a one-channel input, which inference would carry for a
-backward it never runs, while the rebuild is a few elementwise passes over
-the grid.
+channels-last table of the input, (B*(H+1)*(W+1), C), whose extra last row
+and column repeat the input's.  Each corner is then a fixed step
+(0, 1, W+1, W+2) from the top-left one: r0 = H-1 only where the clamp gave
+t = 0, and row H repeats row H-1, which is r1 = min(r0 + 1, H-1); columns
+alike.  One plan per call clamps the grid once and gives each sample its
+top-left table row and the fractions t, u behind the four corner weights.
+The forward gathers whole rows one corner at a time from the table shifted
+by the corner's step; a stacked four-corner gather would raise peak memory.
+The backward gathers the four corners together for the coordinate
+gradients and scatters the input gradient with one float64 bincount per
+channel, in a fixed order whatever the dtype; the repeated edge gets only
+zero weights and is dropped.  input_grad=False (a network's first layer)
+skips the scatter, the larger part of the backward.  The plan is rebuilt in
+backward, not cached: one int64 index and four weights per sample are 6x
+the float32 samples of a one-channel input, which inference would carry
+for a backward it never runs.
 """
 
 from __future__ import annotations
@@ -67,15 +66,10 @@ class SampleGrid:
 
 
 def _plan(x_arr: np.ndarray, grid: SampleGrid):
-    """Four-corner interpolation plan of one sampling call.
-
-    Returns the channels-last rows (B*H*W, C) of x; per sample (B, P), with
-    P = N*H_out*W_out, a (4, B, P) index of the rows of its top-left, right,
-    lower and lower-right corners (on the last column the right corner is the
-    left one again, on the last row the lower one the upper, which is
-    r1 = min(r0 + 1, H-1)); and the fractions t, u.  The clamp runs in the
-    grid's dtype, before the cast to x's dtype.  Raises ShapeError unless grid
-    and x have the same batch.
+    """Interpolation plan of one sampling call: the channels-last table of x,
+    per sample (B, P) the table row of its top-left corner, the steps from it
+    to the four corners, and the fractions t, u.  The clamp runs in the grid's
+    dtype, before the cast to x's dtype.  ShapeError unless the batches match.
     """
     b_n, c_n, h_in, w_in = x_arr.shape
     dtype = x_arr.dtype
@@ -89,18 +83,15 @@ def _plan(x_arr: np.ndarray, grid: SampleGrid):
     s0 = np.floor(u)
     t -= r0
     u -= s0
-    corner = np.empty((4,) + t.shape, dtype=np.int64)
-    top_left = corner[0]
-    top_left[...] = r0
-    top_left *= w_in
+    top_left = r0.astype(np.int64)
+    top_left *= w_in + 1
     top_left += s0.astype(np.int64)
-    top_left += np.arange(b_n, dtype=np.int64)[:, None] * (h_in * w_in)
-    right = np.where(s0 < w_in - 1, 1, 0)
-    np.add(top_left, right, out=corner[1])
-    np.add(top_left, np.where(r0 < h_in - 1, w_in, 0), out=corner[2])
-    np.add(corner[2], right, out=corner[3])
-    rows = np.ascontiguousarray(x_arr.transpose(0, 2, 3, 1)).reshape(-1, c_n)
-    return rows, corner, t, u
+    top_left += np.arange(b_n, dtype=np.int64)[:, None] * ((h_in + 1) * (w_in + 1))
+    table = np.empty((b_n, h_in + 1, w_in + 1, c_n), dtype=dtype)
+    table[:, :h_in, :w_in] = x_arr.transpose(0, 2, 3, 1)
+    table[:, h_in, :w_in] = table[:, h_in - 1, :w_in]
+    table[:, :, w_in] = table[:, :, w_in - 1]
+    return table.reshape(-1, c_n), top_left, (0, 1, w_in + 1, w_in + 2), t, u
 
 
 def _weights(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -108,29 +99,27 @@ def _weights(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     one = t.dtype.type(1)
     t1, u1 = one - t, one - u
     weight = np.empty((4,) + t.shape, dtype=t.dtype)
-    np.multiply(t1, u1, out=weight[0])
-    np.multiply(t1, u, out=weight[1])
-    np.multiply(t, u1, out=weight[2])
-    np.multiply(t, u, out=weight[3])
+    for k, (row_w, col_w) in enumerate(((t1, u1), (t1, u), (t, u1), (t, u))):
+        np.multiply(row_w, col_w, out=weight[k])
     return weight
 
 
 def bilinear_sample(x: Tensor4, grid: SampleGrid) -> np.ndarray:
     """Sample x at grid coordinates; returns (B, C, N, H_out, W_out)."""
-    rows, corner, t, u = _plan(x.data, grid)
+    rows, top_left, steps, t, u = _plan(x.data, grid)
     weight = _weights(t, u)
     del t, u
     # one corner at a time: a stacked (4, B, P, C) gather raises peak memory
-    out = np.take(rows, corner[0], axis=0)                # (B, P, C)
+    out = np.take(rows, top_left, axis=0)                 # (B, P, C)
     out *= weight[0][:, :, None]
     term = np.empty_like(out)
     for k in range(1, 4):
         # in range by construction; mode 'raise' would buffer the out array
-        np.take(rows, corner[k], axis=0, out=term, mode="clip")
+        np.take(rows[steps[k]:], top_left, axis=0, out=term, mode="clip")
         term *= weight[k][:, :, None]
         out += term
     # held across the copy below, the plan fragments the heap (+8 MB peak RSS)
-    del term, corner, weight, rows
+    del term, top_left, weight, rows
     return np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(x.dims[:2] + grid.dims[1:])
 
 
@@ -148,9 +137,10 @@ def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
     if upstream.shape != (b_n, c_n) + grid.dims[1:]:
         raise ShapeError(f"upstream shape {upstream.shape} != {(b_n, c_n) + grid.dims[1:]}")
 
-    rows, corner, t, u = _plan(x_arr, grid)
+    rows, corner, steps, t, u = _plan(x_arr, grid)
     up = upstream.reshape(b_n, c_n, -1)
     up_rows = np.ascontiguousarray(up.transpose(0, 2, 1))          # (B, P, C)
+    corner = corner + np.array(steps)[:, None, None]      # (4, B, P); frees the top-left
     # per corner, the gathered rows contracted with the upstream over C
     a00, a01, a10, a11 = np.einsum("kbpc,bpc->kbp", np.take(rows, corner, axis=0), up_rows)
     del up_rows
@@ -164,14 +154,15 @@ def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
     if not input_grad:
         return None, grad_rows, grad_cols
 
-    # One float64 bincount per channel over the shared corner index; the
-    # products are taken in the input dtype and summed in float64.
+    # One float64 bincount per channel over the four corners' table rows; the
+    # products are taken in the input dtype and summed in float64.  What lands
+    # in the repeated edge has weight exactly 0: dropping it changes no sum.
     weight = _weights(t, u)
     corner = corner.reshape(-1)
     contrib = np.empty(weight.shape, dtype=np.float64)
     grad_x = np.empty_like(x_arr)
     for c in range(c_n):
         np.multiply(weight, up[:, c], out=contrib)
-        grad_x[:, c] = np.bincount(corner, weights=contrib.reshape(-1),
-                                   minlength=rows.shape[0]).reshape(b_n, h_in, w_in)
+        grad_x[:, c] = np.bincount(corner, weights=contrib.reshape(-1), minlength=rows.shape[0]
+                                   ).reshape(b_n, h_in + 1, w_in + 1)[:, :h_in, :w_in]
     return _owned(grad_x), grad_rows, grad_cols

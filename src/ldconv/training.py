@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .layer import LdconvLayer, NonFiniteError, OffsetField, layer_from_sidecar, layer_sidecar
+from .layer import (LdconvLayer, NonFiniteError, OffsetField, layer_from_sidecar,
+                    layer_sidecar, sidecar_int)
 from .tensor import Rng, Tensor4, _owned, read_tensors, write_tensors
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -177,12 +178,10 @@ class TinyNet:
         dpool = np.broadcast_to(dfeats[:, :, None, None] / self.dtype.type(h_n * w_n),
                                 (b_n, c_n, h_n, w_n)).astype(self.dtype)
         g2 = self.ld2.backward(cache["cache2"], _owned(dpool))
-        for key, val in _layer_grads_dict(self.ld2, g2).items():
-            grads[f"ld2.{key}"] = val
         # the images need no gradient, so ld1 skips its input gradient
         g1 = self.ld1.backward(cache["cache1"], g2.x, input_grad=False)
-        for key, val in _layer_grads_dict(self.ld1, g1).items():
-            grads[f"ld1.{key}"] = val
+        for prefix, layer, layer_grads in (("ld2.", self.ld2, g2), ("ld1.", self.ld1, g1)):
+            grads.update({prefix + name: getattr(layer_grads, name) for name in layer.params()})
         return grads
 
     def offset_fields(self, images: np.ndarray) -> dict[str, OffsetField]:
@@ -193,10 +192,6 @@ class TinyNet:
         x = Tensor4(np.ascontiguousarray(images, dtype=self.dtype))
         h1, cache1 = self.ld1.forward(x)
         return {"ld1": cache1.offsets, "ld2": self.ld2.offsets(h1)}
-
-
-def _layer_grads_dict(layer: LdconvLayer, grads) -> dict[str, np.ndarray]:
-    return {name: getattr(grads, name) for name in layer.params()}
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -384,10 +379,15 @@ def load_net(path) -> tuple[TinyNet, dict]:
         raise ValueError(f"{path}: not a network checkpoint")
     records = read_tensors(path)
     try:
+        for key in ("ld1", "ld2"):
+            if not isinstance(sidecar[key], dict):
+                raise ValueError(f"sidecar entry {key!r} is not a JSON object")
         ld1, ld2 = (layer_from_sidecar(sidecar[key]) for key in ("ld1", "ld2"))
-        classes = int(sidecar["classes"])
+        classes = sidecar_int(sidecar, "classes")
     except KeyError as exc:
         raise ValueError(f"{path}: sidecar has no key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     net = TinyNet(ld1=ld1, ld2=ld2,
                   fc_w=np.zeros((classes, ld2.c_out), dtype=np.float32),
                   fc_b=np.zeros(classes, dtype=np.float32))

@@ -117,6 +117,7 @@ def test_bench_runs_and_reports(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["dims"] == [1, 8, 10, 10]
+    assert (report["config"]["stride"], report["config"]["post"]) == (1, "none")
     metrics = report["metrics"]
     assert 0 < metrics["median_ms"] <= metrics["p90_ms"]
     assert 0 < metrics["backward_median_ms"] <= metrics["backward_p90_ms"]
@@ -124,11 +125,23 @@ def test_bench_runs_and_reports(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "forward  median=" in printed and "backward median=" in printed
     assert "minor page faults per forward+backward=" in printed
+    # the TinyNet layers' setting: stride 2 with the post stage
+    assert main(["bench", "--dims", "1,8,10,10", "--stride", "2", "--post",
+                 "normalize+activation", "--iters", "2", "--warmup", "0",
+                 "--out", str(out), "--no-timestamp"]) == 0
+    report = json.loads(out.read_text())
+    assert (report["config"]["stride"], report["config"]["post"]) == (2, "normalize+activation")
+    assert report["metrics"]["median_ms"] > 0
 
 
 def test_bench_rejects_zero_iters(capsys):
     assert main(["bench", "--iters", "0"]) == 2
     assert "--iters" in capsys.readouterr().err
+
+
+def test_bench_rejects_a_zero_stride(capsys):
+    assert main(["bench", "--stride", "0", "--iters", "1"]) == 2
+    assert "stride must be >= 1" in capsys.readouterr().err
 
 
 # -- train ------------------------------------------------------------------------
@@ -309,7 +322,9 @@ def _without(mapping, key):
     (lambda s: {**s, "ld2": _without(s["ld2"], "stride")}, "sidecar has no key 'stride'"),
     (lambda s: _without(s, "classes"), "sidecar has no key 'classes'"),
     (lambda s: [1, 2], "sidecar is not a JSON object"),
-], ids=["no-ld2-stride", "no-classes", "not-an-object"])
+    (lambda s: {**s, "ld1": 5}, "sidecar entry 'ld1' is not a JSON object"),
+    (lambda s: {**s, "ld1": {**s["ld1"], "n": None}}, "sidecar key 'n' is not an integer: None"),
+], ids=["no-ld2-stride", "no-classes", "not-an-object", "ld1-not-an-object", "null-n"])
 def test_analyze_ao_refuses_a_damaged_sidecar(tmp_path, capsys, damage, message):
     path = _make_checkpoint(tmp_path, "damaged.ldt")
     sidecar_path = Path(str(path) + ".json")

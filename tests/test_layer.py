@@ -13,7 +13,7 @@ from ldconv.geometry import KernelGeometry, gen_initial_coords
 from ldconv.cli import REL_TOL_STRATEGY
 from ldconv.layer import LdconvLayer, OffsetField, layer_sidecar
 from ldconv.sampler import SampleGrid
-from ldconv.tensor import (Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform,
+from ldconv.tensor import (Rng, ShapeError, Tensor4, conv2d_reference, pad2d, rand_uniform,
                            read_tensors, write_tensors)
 from ldconv.training import TinyNet, load_net, save_net
 
@@ -82,6 +82,65 @@ def layout_deviation(layer, x):
     bias = 0.0 if layer.agg_b is None else layer.agg_b[None, :, None, None]
     return max(_rel_dev(y.data, oracle(cache.sampled, layer.agg_w) + bias)
                for oracle in (mix_conv3d_style, mix_column_conv))
+
+
+# -- the offset windows and the post stage, as oracles --------------------------
+# The nine strided slice copies and the np.var normalisation the layer used
+# before its one-copy windows and in-place post stage, kept unchanged; the
+# layer must match them bit for bit.
+
+
+def windows_by_slices(layer, x, h_out, w_out):
+    xpp = pad2d(x, layer.padding + 1)
+    b_n, c_in = x.shape[:2]
+    s = layer.stride
+    cols = np.empty((b_n, c_in, 3, 3, h_out, w_out), dtype=x.dtype)
+    for kh in range(3):
+        for kw in range(3):
+            cols[:, :, kh, kw] = xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
+                                     kw:kw + (w_out - 1) * s + 1:s]
+    return cols.reshape(b_n, c_in * 9, h_out * w_out)
+
+
+def post_forward_by_np_var(layer, mixed):
+    dtype = mixed.dtype
+    mean = mixed.mean(axis=(0, 2, 3), keepdims=True)
+    var = mixed.var(axis=(0, 2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + dtype.type(layer_mod._NORM_EPS))
+    xhat = (mixed - mean) * inv_std
+    z = layer.post_scale[None, :, None, None] * xhat + layer.post_shift[None, :, None, None]
+    sig = 1.0 / (1.0 + np.exp(-z))
+    y = z * sig
+    cache = {"xhat": xhat, "inv_std": inv_std, "z": z, "sig": sig}
+    return y.astype(dtype, copy=False), cache
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_windows_and_post_stage_match_their_oracles_bitwise(stride, padding, dtype):
+    rng = Rng(stride * 10 + padding)
+    layer = _randomized(LdconvLayer.create(5, 3, 4, stride=stride, padding=padding,
+                                           post="normalize+activation", rng=rng, dtype=dtype), rng)
+    layer.post_scale = rng.stream("scale").uniform(0.5, 1.5, size=4).astype(dtype)
+    layer.post_shift = rng.stream("shift").uniform(-0.5, 0.5, size=4).astype(dtype)
+    x = rand_uniform((2, 3, 9, 8), rng, lo=-1.0, hi=1.0, dtype=dtype)
+    h_out, w_out = (9 + 2 * padding - 1) // stride + 1, (8 + 2 * padding - 1) // stride + 1
+    assert _same_bits(layer._windows(x.data, h_out, w_out),
+                      windows_by_slices(layer, x.data, h_out, w_out))
+
+    _, cache = layer.forward(x)
+    mixed = cache.mixed + rng.stream("bias").uniform(-2, 2, size=(1, 4, 1, 1)).astype(dtype)
+    y, post_cache = layer._post_forward(mixed)
+    y_ref, ref_cache = post_forward_by_np_var(layer, mixed)
+    assert _same_bits(y, y_ref)
+    assert post_cache.keys() == ref_cache.keys()
+    for name, arr in ref_cache.items():
+        assert _same_bits(post_cache[name], arr), name
 
 
 # -- offsets and grid -----------------------------------------------------------

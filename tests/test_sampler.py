@@ -1,5 +1,7 @@
 """Bilinear sampler: values, boundary clamp, and analytic gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,9 +349,11 @@ def test_plan_matches_reference(b_n, c_n, h, w, n_pts, h_out, w_out, seed):
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 1, 5), (2, 3, 4, 1), (1, 2, 1, 1)])
-def test_single_row_or_column_steps_to_the_same_corner(dims):
-    # H=1 (W=1) leaves no lower (right) corner: the step to it is 0, both
-    # corners are one pixel, and the row (column) gradient vanishes.
+def test_single_row_or_column_reads_the_repeated_edge(dims):
+    # H=1 (W=1) leaves no lower (right) pixel: every row (column) clamps to 0
+    # with t = 0 (u = 0), so the lower (right) corner is the plan table's
+    # repeated edge, which holds the same pixel with weight 0, and the row
+    # (column) gradient vanishes.
     b_n, c_n, h, w = dims
     gen = np.random.default_rng(3)
     x = Tensor4(gen.uniform(-1, 1, size=dims))
@@ -368,3 +372,21 @@ def test_single_row_or_column_steps_to_the_same_corner(dims):
         assert np.all(gc == 0)
     # the input gradient keeps the upstream's total: the weights sum to one
     assert np.allclose(gx.data.sum(axis=(2, 3)), up.sum(axis=(2, 3, 4)), rtol=1e-12)
+
+
+def test_sample_peak_memory_at_the_first_layer_shape():
+    # one 256-image call at ld1's input and grid: the plan is one int64
+    # top-left index per sample, not four corner indices
+    gen = np.random.default_rng(0)
+    x = Tensor4(gen.uniform(-1, 1, size=(256, 1, 28, 28)).astype(np.float32))
+    shape = (256, 5, 14, 14)
+    grid = SampleGrid(gen.uniform(-1, 28, size=shape).astype(np.float32),
+                      gen.uniform(-1, 28, size=shape).astype(np.float32))
+    bilinear_sample(x, grid)
+    tracemalloc.start()
+    try:
+        bilinear_sample(x, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20

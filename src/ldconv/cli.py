@@ -81,6 +81,8 @@ def _cmd_check_grad(args) -> int:
     dims = _parse_dims(args.dims)
     dtype = np.float64 if args.f64 else np.float32
     if args.eps is not None:
+        if not 0 < args.eps < float("inf"):
+            raise ValueError(f"--eps must be finite and > 0, got {args.eps}")
         sampler_eps = layer_eps = args.eps
     elif args.f64:
         sampler_eps, layer_eps = 1e-3, 1e-4

@@ -57,12 +57,6 @@ class OffsetField:
             arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    def row_offsets(self) -> np.ndarray:
-        return self.data[:, :self.n]
-
-    def col_offsets(self) -> np.ndarray:
-        return self.data[:, self.n:]
-
 
 @dataclass
 class LayerCache:
@@ -154,6 +148,8 @@ class LdconvLayer:
             geometry = gen_initial_coords(n)
         rng = rng if rng is not None else Rng(0)
         dtype = np.dtype(dtype)
+        if c_in < 1:   # before the fan-in bound divides by it
+            raise ValueError("channel counts must be >= 1")
         bound = float(np.sqrt(1.0 / (c_in * n)))
         agg_w = rng.stream(f"{name}/agg_w").uniform(-bound, bound,
                                                     size=(c_out, c_in, n)).astype(dtype)
@@ -247,9 +243,9 @@ class LdconvLayer:
         dtype = offsets.data.dtype
         row_anchor = (np.arange(h_out, dtype=dtype) * dtype.type(self.stride))
         col_anchor = (np.arange(w_out, dtype=dtype) * dtype.type(self.stride))
-        rows = offsets.row_offsets() + self.geometry.rows().astype(dtype)[None, :, None, None]
+        rows = offsets.data[:, :self.n] + self.geometry.rows().astype(dtype)[None, :, None, None]
         rows += row_anchor[None, None, :, None]
-        cols = offsets.col_offsets() + self.geometry.cols().astype(dtype)[None, :, None, None]
+        cols = offsets.data[:, self.n:] + self.geometry.cols().astype(dtype)[None, :, None, None]
         cols += col_anchor[None, None, None, :]
         rows.setflags(write=False)    # fresh and ours: SampleGrid keeps them without a copy
         cols.setflags(write=False)
@@ -420,8 +416,13 @@ def layer_from_sidecar(sidecar: dict) -> LdconvLayer:
     freshly initialised: the caller fills every params() entry.  Keys it does
     not read, such as the layout label of older sidecars, are ignored."""
     geometry = None
-    if sidecar.get("coords"):
-        geometry = KernelGeometry(tuple((int(r), int(c)) for r, c in sidecar["coords"]))
+    if "coords" in sidecar:
+        coords = sidecar["coords"]
+        if not (isinstance(coords, list) and coords and all(
+                isinstance(pair, list) and list(map(type, pair)) == [int, int] for pair in coords)):
+            raise ValueError(f"sidecar key 'coords' is not a non-empty list of integer pairs: "
+                             f"{coords!r}")
+        geometry = KernelGeometry(tuple(map(tuple, coords)))
     elif sidecar.get("shape_file"):
         raise ValueError(f"sidecar names shape file {sidecar['shape_file']!r} but records "
                          "no coords, so the kernel geometry cannot be restored")

@@ -207,16 +207,19 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, (dlogits / batch).astype(logits.dtype)
 
 
-def evaluate(net: TinyNet, dataset: Dataset, batch: int = 256) -> float:
-    """Accuracy with argmax predictions; ties resolve to the lowest class."""
+def evaluate(net: TinyNet, dataset: Dataset, batch: int) -> tuple[float, float]:
+    """(accuracy, per-image mean loss) in one pass of `batch` images; argmax
+    ties resolve to the lowest class.  The post stage normalises with batch
+    statistics, so both depend on `batch`: pass the one the net trained at."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    hits = 0
+    hits, loss = 0, 0.0
     for start in range(0, len(dataset), batch):
+        labels = dataset.labels[start:start + batch]
         logits, _ = net.forward(dataset.images[start:start + batch])
-        hits += int((np.argmax(logits, axis=1)
-                     == dataset.labels[start:start + batch]).sum())
-    return hits / len(dataset)
+        hits += int((np.argmax(logits, axis=1) == labels).sum())
+        loss += softmax_cross_entropy(logits, labels)[0] * len(labels)
+    return hits / len(dataset), loss / len(dataset)
 
 
 # -- config / loop -----------------------------------------------------------
@@ -287,9 +290,10 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
           eval_dataset: Dataset | None = None) -> TrainResult:
     """SGD loop; returns per-epoch curves and the offset fields of one batch.
 
-    final_acc is the held-out accuracy when eval_dataset is given, otherwise
-    the final accuracy on the training subset.  Raises DivergenceError, naming
-    the epoch and batch, as soon as a batch loss or an offset field is
+    The final metrics are one evaluate pass per dataset at config.batch:
+    final_train_acc and final_loss on the training subset, final_acc on
+    eval_dataset if given (else final_train_acc).  Raises DivergenceError,
+    naming the epoch and batch, as soon as a batch loss or an offset field is
     non-finite.
     """
     data = dataset.take(config.subset)
@@ -301,9 +305,8 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
             order = rng.stream(f"shuffle/{epoch:05d}").permutation(len(data))
             epoch_loss = 0.0
             epoch_hits = 0
-            batches = 0
-            for start in range(0, len(data), config.batch):
-                where = f"epoch {epoch + 1}, batch {batches + 1}"
+            for batches, start in enumerate(range(0, len(data), config.batch), start=1):
+                where = f"epoch {epoch + 1}, batch {batches}"
                 take = order[start:start + config.batch]
                 images = data.images[take]
                 images.setflags(write=False)   # fresh and ours: Tensor4 keeps it without a copy
@@ -317,25 +320,19 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
                     params[name] -= np.asarray(config.lr * grad, dtype=net.dtype)
                 epoch_loss += loss
                 epoch_hits += int((np.argmax(logits, axis=1) == data.labels[take]).sum())
-                batches += 1
             losses.append(epoch_loss / batches)
             accs.append(epoch_hits / len(data))
 
         where = f"the evaluation after epoch {config.epochs}"
-        final_train_acc = evaluate(net, data)
-        final_acc = evaluate(net, eval_dataset) if eval_dataset is not None else final_train_acc
-        final_loss = 0.0
-        for start in range(0, len(data), config.batch):
-            logits, _ = net.forward(data.images[start:start + config.batch])
-            batch_loss, _ = softmax_cross_entropy(logits, data.labels[start:start + config.batch])
-            final_loss += batch_loss * len(logits)
-        final_loss /= len(data)
+        final_train_acc, final_loss = evaluate(net, data, config.batch)
+        final_acc = (evaluate(net, eval_dataset, config.batch)[0]
+                     if eval_dataset is not None else final_train_acc)
         probe_src = eval_dataset if eval_dataset is not None else data
         probe = probe_src.images[:min(config.batch, len(probe_src))]
         ao_batch = net.offset_fields(probe)
     except NonFiniteError as exc:
         raise DivergenceError(f"{exc} at {where}") from exc
-    return TrainResult(loss=losses, acc=accs, final_loss=float(final_loss),
+    return TrainResult(loss=losses, acc=accs, final_loss=final_loss,
                        final_acc=final_acc, final_train_acc=final_train_acc,
                        param_count=net.param_count(), ao_batch=ao_batch)
 

@@ -98,6 +98,16 @@ def test_check_grad_bad_dims(capsys):
     assert main(["check-grad", "--dims", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.001", "nan", "inf"])
+def test_check_grad_rejects_a_step_that_is_not_finite_and_positive(capsys, eps):
+    # a zero step divides by zero in the difference quotient; a negative one
+    # only flips its sign and would pass unnoticed
+    assert main(["check-grad", "--dims", "1,2,5,5", f"--eps={eps}"]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "--eps must be finite and > 0" in captured.err
+
+
 @pytest.mark.parametrize("dims", ["1,2,1,5", "1,2,5,1"])
 def test_check_grad_refuses_dims_with_an_empty_sampler_grid(capsys, dims):
     # the sampler fixture's grid is (H-1) x (W-1): a PASS there checked nothing
@@ -314,6 +324,9 @@ def test_analyze_ao_refuses_a_classifier_narrower_than_ld2(tmp_path, capsys):
     assert "'fc.w'" in capsys.readouterr().err
 
 
+COORDS_MESSAGE = "sidecar key 'coords' is not a non-empty list of integer pairs"
+
+
 def _without(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
 
@@ -324,7 +337,12 @@ def _without(mapping, key):
     (lambda s: [1, 2], "sidecar is not a JSON object"),
     (lambda s: {**s, "ld1": 5}, "sidecar entry 'ld1' is not a JSON object"),
     (lambda s: {**s, "ld1": {**s["ld1"], "n": None}}, "sidecar key 'n' is not an integer: None"),
-], ids=["no-ld2-stride", "no-classes", "not-an-object", "ld1-not-an-object", "null-n"])
+    (lambda s: {**s, "ld1": {**s["ld1"], "coords": 5}}, COORDS_MESSAGE),
+    (lambda s: {**s, "ld1": {**s["ld1"], "coords": [[1.5, 0], [0, 0]]}}, COORDS_MESSAGE),
+    (lambda s: {**s, "ld1": {**s["ld1"], "coords": [[True, 0], [0, 0]]}}, COORDS_MESSAGE),
+    (lambda s: {**s, "ld1": {**s["ld1"], "coords": []}}, COORDS_MESSAGE),
+], ids=["no-ld2-stride", "no-classes", "not-an-object", "ld1-not-an-object", "null-n",
+        "int-coords", "float-coords", "bool-coords", "empty-coords"])
 def test_analyze_ao_refuses_a_damaged_sidecar(tmp_path, capsys, damage, message):
     path = _make_checkpoint(tmp_path, "damaged.ldt")
     sidecar_path = Path(str(path) + ".json")
@@ -370,6 +388,14 @@ def test_growth_single_row(tmp_path):
 def test_growth_rejects_bad_n_max(tmp_path):
     assert main(["growth", "--c-in", "4", "--c-out", "8", "--n-max", "0",
                  "--out", str(tmp_path / "g")]) == 2
+
+
+@pytest.mark.parametrize("c_in", ["0", "-1"])
+def test_growth_rejects_a_channel_count_below_one(tmp_path, capsys, c_in):
+    # the fan-in bound divides by c_in, so the check has to come first
+    assert main(["growth", f"--c-in={c_in}", "--c-out", "8", "--n-max", "3",
+                 "--out", str(tmp_path / "g")]) == 2
+    assert "channel counts must be >= 1" in capsys.readouterr().err
 
 
 def test_growth_reports_identical_across_directories(tmp_path):

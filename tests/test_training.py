@@ -256,6 +256,25 @@ def test_train_step_copies_its_batch_once(monkeypatch):
     assert others and all(count == 1 for count in others)
 
 
+def test_final_metrics_forward_each_image_once_at_the_training_batch(monkeypatch):
+    # The post stage normalises with batch statistics, so after the last epoch
+    # the training subset and the held-out set are each forwarded once, in
+    # batches of config.batch: no second pass for the loss, no larger batch.
+    sizes = []
+    forward = TinyNet.forward
+
+    def spy(net, images):
+        sizes.append(len(images))
+        return forward(net, images)
+
+    monkeypatch.setattr(TinyNet, "forward", spy)
+    cfg = TrainConfig(epochs=1, subset=64, batch=32)
+    res = train(_net(cfg), synthetic_bars(64, Rng(12)), cfg,
+                eval_dataset=synthetic_bars(32, Rng(13), stream="synthetic-eval"))
+    assert sizes == [32, 32, 32, 32, 32]        # two steps, train subset, held-out set
+    assert 0.0 <= res.final_acc <= 1.0 and np.isfinite(res.final_loss)
+
+
 def test_softmax_cross_entropy_matches_hand_value():
     logits = np.array([[2.0, 0.0, 0.0]], dtype=np.float32)
     loss, dlogits = softmax_cross_entropy(logits, np.array([0]))
@@ -272,14 +291,27 @@ def test_evaluate_tie_breaks_to_lowest_class():
     net.fc_b[:] = 0.0
     labels = np.array([0, 0, 1, 2], dtype=np.int64)
     data = Dataset(np.zeros((4, 1, 28, 28), dtype=np.float32), labels)
-    # all logits equal -> argmax picks class 0 everywhere
-    assert evaluate(net, data) == pytest.approx(0.5)
+    # all logits equal -> argmax picks class 0 everywhere, each loss is ln 10
+    acc, loss = evaluate(net, data, batch=4)
+    assert acc == pytest.approx(0.5)
+    assert loss == pytest.approx(np.log(10.0), rel=1e-6)
+
+
+def test_evaluate_loss_is_the_per_image_mean():
+    # a short last batch weighs by its image count, not as one batch
+    cfg = TrainConfig()
+    net = _net(cfg, seed=3)
+    data = synthetic_bars(5, Rng(3))
+    losses = [softmax_cross_entropy(net.forward(data.images[i:i + 2])[0],
+                                    data.labels[i:i + 2])[0] for i in (0, 2, 4)]
+    _, loss = evaluate(net, data, batch=2)
+    assert loss == (losses[0] * 2 + losses[1] * 2 + losses[2] * 1) / 5
 
 
 def test_evaluate_rejects_empty():
     net = _net(TrainConfig())
     with pytest.raises(ValueError, match="empty"):
-        evaluate(net, Dataset(np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=np.int64)))
+        evaluate(net, Dataset(np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=np.int64)), batch=8)
 
 
 # -- training loop -----------------------------------------------------------------

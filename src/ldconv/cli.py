@@ -135,8 +135,8 @@ def _cmd_bench(args) -> int:
     layer.offset_b = rng.stream("bench/offb").uniform(
         -0.5, 0.5, size=layer.offset_b.shape).astype(np.float32)
     x = rand_uniform(dims, rng, stream="bench/x")
-    y, _ = layer.forward(x)
-    upstream = rand_uniform(y.dims, rng, lo=-1.0, hi=1.0, stream="bench/upstream")
+    upstream = rand_uniform(layer.forward(x)[0].dims, rng, lo=-1.0, hi=1.0,
+                            stream="bench/upstream")
 
     for _ in range(args.warmup):
         layer.backward(layer.forward(x)[1], upstream)
@@ -144,14 +144,16 @@ def _cmd_bench(args) -> int:
     faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(args.iters):
         begin = time.perf_counter()
-        _, cache = layer.forward(x)
+        cache = layer.forward(x)[1]
         middle = time.perf_counter()
         layer.backward(cache, upstream)
         end = time.perf_counter()
+        del cache   # else it lives through the next forward
         forward_ms.append((middle - begin) * 1e3)
         backward_ms.append((end - middle) * 1e3)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
-    metrics = {"minor_faults_per_iter": faults / args.iters}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    metrics = {"minor_faults_per_iter": (usage.ru_minflt - faults_before) / args.iters,
+               "peak_rss_mb": usage.ru_maxrss / 1024.0}    # Linux counts KiB
     p90_rank = min(args.iters - 1, max(0, -(-9 * args.iters // 10) - 1))
     for prefix, times in (("", forward_ms), ("backward_", backward_ms)):
         times.sort()
@@ -161,6 +163,7 @@ def _cmd_bench(args) -> int:
     print(f"backward median={metrics['backward_median_ms']:8.3f} ms  "
           f"p90={metrics['backward_p90_ms']:8.3f} ms")
     print(f"minor page faults per forward+backward={metrics['minor_faults_per_iter']:.1f}")
+    print(f"peak RSS={metrics['peak_rss_mb']:.1f} MB")
     if args.out:
         RunReport(
             command="bench",

@@ -286,15 +286,19 @@ class LdconvLayer:
     def _post_backward(self, cache: dict, upstream: np.ndarray):
         xhat, inv_std = cache["xhat"], cache["inv_std"]
         z, sig = cache["z"], cache["sig"]
-        dz = upstream * (sig * (1.0 + z * (1.0 - sig)))
+        dz = 1.0 - sig                     # dz = upstream * sig * (1 + z * (1 - sig))
+        dz *= z
+        dz += 1.0
+        dz *= sig
+        dz *= upstream
         grad_shift = dz.sum(axis=(0, 2, 3))
-        grad_scale = (dz * xhat).sum(axis=(0, 2, 3))
-        dxhat = dz * self.post_scale[None, :, None, None]
+        grad_scale = np.einsum("bchw,bchw->c", dz, xhat)
+        # dxhat = scale * dz, so its sums are scale times these two
         m = dz.shape[0] * dz.shape[2] * dz.shape[3]
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        grad_mixed = (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-        return grad_mixed.astype(upstream.dtype, copy=False), grad_scale, grad_shift
+        dz -= grad_shift[None, :, None, None] / m
+        dz -= xhat * (grad_scale[None, :, None, None] / m)
+        dz *= self.post_scale[None, :, None, None] * inv_std
+        return dz.astype(upstream.dtype, copy=False), grad_scale, grad_shift
 
     def _check_input(self, x: Tensor4):
         if not isinstance(x, Tensor4):

@@ -17,16 +17,18 @@ and column repeat the input's.  Each corner is then a fixed step
 t = 0, and row H repeats row H-1, which is r1 = min(r0 + 1, H-1); columns
 alike.  One plan per call clamps the grid once and gives each sample its
 top-left table row and the fractions t, u behind the four corner weights.
-The forward gathers whole rows one corner at a time from the table shifted
-by the corner's step; a stacked four-corner gather would raise peak memory.
-The backward gathers the four corners together for the coordinate
-gradients and scatters the input gradient with one float64 bincount per
-channel, in a fixed order whatever the dtype; the repeated edge gets only
-zero weights and is dropped.  input_grad=False (a network's first layer)
-skips the scatter, the larger part of the backward.  The plan is rebuilt in
-backward, not cached: one int64 index and four weights per sample are 6x
-the float32 samples of a one-channel input, which inference would carry
-for a backward it never runs.
+Both directions gather whole rows one corner at a time, from the table
+shifted by the corner's step, into one reused (B, P, C) buffer; a stacked
+(4, B, P, C) gather would raise peak memory (18 MiB at (8,16,32,32), n=9).
+The backward contracts each gathered corner with the upstream over C for
+the coordinate gradients.  Only its input-gradient scatter builds the
+(4, B, P) corner index, for one float64 bincount per channel, in a fixed
+order whatever the dtype; the repeated edge gets only zero weights and is
+dropped.  input_grad=False (a network's first layer) skips the scatter, the
+larger part of the backward.  The plan is rebuilt in backward, not cached:
+one int64 index and four weights per sample are 6x the float32 samples of a
+one-channel input, which inference would carry for a backward it never
+runs.
 """
 
 from __future__ import annotations
@@ -137,13 +139,18 @@ def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
     if upstream.shape != (b_n, c_n) + grid.dims[1:]:
         raise ShapeError(f"upstream shape {upstream.shape} != {(b_n, c_n) + grid.dims[1:]}")
 
-    rows, corner, steps, t, u = _plan(x_arr, grid)
+    rows, top_left, steps, t, u = _plan(x_arr, grid)
     up = upstream.reshape(b_n, c_n, -1)
     up_rows = np.ascontiguousarray(up.transpose(0, 2, 1))          # (B, P, C)
-    corner = corner + np.array(steps)[:, None, None]      # (4, B, P); frees the top-left
-    # per corner, the gathered rows contracted with the upstream over C
-    a00, a01, a10, a11 = np.einsum("kbpc,bpc->kbp", np.take(rows, corner, axis=0), up_rows)
-    del up_rows
+    # per corner, the gathered rows contracted with the upstream over C; one
+    # corner at a time into one buffer, as in bilinear_sample
+    dots = np.empty((4,) + top_left.shape, dtype=x_arr.dtype)
+    gathered = np.empty_like(up_rows)
+    for k, step in enumerate(steps):
+        np.take(rows[step:], top_left, axis=0, out=gathered, mode="clip")
+        np.einsum("bpc,bpc->bp", gathered, up_rows, out=dots[k])
+    del gathered, up_rows
+    a00, a01, a10, a11 = dots
 
     one = x_arr.dtype.type(1)
     grad_rows = ((one - u) * (a10 - a00) + u * (a11 - a01)).reshape(grid.dims)
@@ -158,7 +165,7 @@ def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
     # products are taken in the input dtype and summed in float64.  What lands
     # in the repeated edge has weight exactly 0: dropping it changes no sum.
     weight = _weights(t, u)
-    corner = corner.reshape(-1)
+    corner = (top_left + np.array(steps)[:, None, None]).reshape(-1)    # (4, B, P)
     contrib = np.empty(weight.shape, dtype=np.float64)
     grad_x = np.empty_like(x_arr)
     for c in range(c_n):

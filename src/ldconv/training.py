@@ -216,7 +216,7 @@ def evaluate(net: TinyNet, dataset: Dataset, batch: int) -> tuple[float, float]:
     hits, loss = 0, 0.0
     for start in range(0, len(dataset), batch):
         labels = dataset.labels[start:start + batch]
-        logits, _ = net.forward(dataset.images[start:start + batch])
+        logits = net.forward(dataset.images[start:start + batch])[0]   # drop the cache now
         hits += int((np.argmax(logits, axis=1) == labels).sum())
         loss += softmax_cross_entropy(logits, labels)[0] * len(labels)
     return hits / len(dataset), loss / len(dataset)
@@ -315,6 +315,7 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at {where}")
                 grads = net.backward(cache, dlogits)
+                del cache   # else it lives through the next forward
                 params = net.params()
                 for name, grad in grads.items():
                     params[name] -= np.asarray(config.lr * grad, dtype=net.dtype)

@@ -132,9 +132,12 @@ def test_bench_runs_and_reports(tmp_path, capsys):
     assert 0 < metrics["median_ms"] <= metrics["p90_ms"]
     assert 0 < metrics["backward_median_ms"] <= metrics["backward_p90_ms"]
     assert metrics["minor_faults_per_iter"] >= 0
+    # the process's high-water mark: at least the interpreter and numpy
+    assert 10 < metrics["peak_rss_mb"] < 4096
     printed = capsys.readouterr().out
     assert "forward  median=" in printed and "backward median=" in printed
     assert "minor page faults per forward+backward=" in printed
+    assert f"peak RSS={metrics['peak_rss_mb']:.1f} MB" in printed
     # the TinyNet layers' setting: stride 2 with the post stage
     assert main(["bench", "--dims", "1,8,10,10", "--stride", "2", "--post",
                  "normalize+activation", "--iters", "2", "--warmup", "0",

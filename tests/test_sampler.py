@@ -390,3 +390,22 @@ def test_sample_peak_memory_at_the_first_layer_shape():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20
+
+
+def test_backward_peak_memory_at_the_stress_shape():
+    # the four corners are gathered one at a time into one (B, P, C) buffer;
+    # a stacked (4, B, P, C) gather alone would be 18 MiB here
+    gen = np.random.default_rng(0)
+    x = Tensor4(gen.uniform(-1, 1, size=(8, 16, 32, 32)).astype(np.float32))
+    shape = (8, 9, 32, 32)
+    grid = SampleGrid(gen.uniform(-1, 32, size=shape).astype(np.float32),
+                      gen.uniform(-1, 32, size=shape).astype(np.float32))
+    up = gen.uniform(-1, 1, size=(8, 16) + shape[1:]).astype(np.float32)
+    bilinear_backward(x, grid, up)
+    tracemalloc.start()
+    try:
+        bilinear_backward(x, grid, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20

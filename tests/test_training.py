@@ -7,6 +7,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,25 @@ def test_evaluate_loss_is_the_per_image_mean():
                                     data.labels[i:i + 2])[0] for i in (0, 2, 4)]
     _, loss = evaluate(net, data, batch=2)
     assert loss == (losses[0] * 2 + losses[1] * 2 + losses[2] * 1) / 5
+
+
+def test_evaluate_peak_memory_is_one_forward():
+    # each batch's cache is dropped before the next forward runs, so the
+    # loop holds no more than one forward does
+    net = _net(TrainConfig(), seed=4)
+    data = synthetic_bars(256, Rng(4))
+    net.forward(data.images[:64])
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = traced_peak(lambda: net.forward(data.images[:64]))
+    assert traced_peak(lambda: evaluate(net, data, batch=64)) <= 1.15 * one
 
 
 def test_evaluate_rejects_empty():

@@ -1,15 +1,5 @@
 """Linear deformable convolution: operators, training harness, analysis tools."""
 
-import os as _os
-
-# Pin BLAS pools before numpy loads anywhere in this package; LDCONV_THREADS=1
-# makes every reduction single-threaded and therefore bitwise deterministic.
-_requested = _os.environ.get("LDCONV_THREADS")
-if _requested:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        _os.environ.setdefault(_var, _requested)
-
 
 def _keep_freed_heap() -> None:
     """Keep freed heap blocks in the process instead of returning them to the kernel.
@@ -39,6 +29,32 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+
+def _set_blas_threads() -> None:
+    """Run the loaded OpenBLAS at LDCONV_THREADS threads, 1 when unset or empty.
+
+    Set on the library, as threadpoolctl does, the count holds whatever the
+    import order or the exported BLAS variables.  Other BLAS builds are not set.
+    """
+    import ctypes
+    import os
+    value = os.environ.get("LDCONV_THREADS") or "1"
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"LDCONV_THREADS must be a positive integer, got {value!r}")
+    import numpy  # noqa: F401  (loads OpenBLAS, once the heap thresholds are set)
+    if not os.path.exists("/proc/self/maps"):
+        return
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    names = [f"{p}_set_num_threads{s}" for p in ("scipy_openblas", "openblas") for s in ("64_", "")]
+    for lib in map(ctypes.CDLL, paths):
+        for setter in [getattr(lib, name) for name in names if hasattr(lib, name)][:1]:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(int(value))
+
+
+_set_blas_threads()
 
 from .tensor import (Rng, ShapeError, Tensor4, conv2d_reference, rand_uniform,
                      read_tensors, write_tensors)

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 quantitative failure (tolerance exceeded, diverged
-training), 2 usage or input errors.  Set LDCONV_THREADS=1 before invoking for
-bitwise-deterministic numerics; seeded commands write reports without
+training), 2 usage or input errors.  Seeded commands write reports without
 timestamps so identical invocations produce identical bytes.
 """
 

@@ -305,8 +305,8 @@ class LdconvLayer:
             raise TypeError("layer input must be a Tensor4")
         if x.dims[1] != self.c_in:
             raise ShapeError(f"input has {x.dims[1]} channels, layer expects {self.c_in}")
-        if x.dims[2] < 1 or x.dims[3] < 1:
-            raise ShapeError(f"input extent {x.dims[2]}x{x.dims[3]} is empty")
+        if min(x.dims[0], x.dims[2], x.dims[3]) < 1:
+            raise ShapeError(f"input batch {x.dims[0]}, extent {x.dims[2]}x{x.dims[3]} is empty")
         if x.dtype != self.dtype:
             raise ValueError(f"input dtype {x.dtype} != layer dtype {self.dtype}")
 

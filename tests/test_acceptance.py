@@ -238,7 +238,9 @@ def test_criterion_8_offsets_receive_gradient():
 
 def test_criterion_9_byte_identical_reports(tmp_path):
     def check():
-        env = dict(os.environ, LDCONV_THREADS="1")
+        # no thread variable: the default alone must make the runs repeat
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("LDCONV_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         cfg_path = tmp_path / "config.json"
@@ -267,5 +269,5 @@ def test_criterion_9_byte_identical_reports(tmp_path):
         ok = train_same and ckpt_same and grad_same
         return ok, (f"train report identical: {train_same}, checkpoint identical: "
                     f"{ckpt_same}, gradient report identical: {grad_same} "
-                    f"(two fresh processes each, LDCONV_THREADS=1)")
+                    f"(two fresh processes each, no thread variable set)")
     _run(9, "seeded runs serialise byte-identically across processes", 300.0, check)

@@ -327,6 +327,15 @@ def test_analyze_ao_refuses_a_classifier_narrower_than_ld2(tmp_path, capsys):
     assert "'fc.w'" in capsys.readouterr().err
 
 
+def test_analyze_ao_refuses_an_empty_probe_batch(tmp_path, capsys):
+    probe = tmp_path / "empty.ldt"
+    write_tensors(probe, {"probe": Tensor4(np.zeros((0, 1, 28, 28), dtype=np.float32))})
+    code = main(["analyze-ao", "--checkpoint", str(_make_checkpoint(tmp_path, "a.ldt")),
+                 "--probe", str(probe), "--out", str(tmp_path / "ao")])
+    assert code == 2
+    assert "input batch 0, extent 28x28 is empty" in capsys.readouterr().err
+
+
 COORDS_MESSAGE = "sidecar key 'coords' is not a non-empty list of integer pairs"
 
 

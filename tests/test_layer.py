@@ -341,6 +341,8 @@ def test_forward_input_validation():
     layer = LdconvLayer.create(3, 2, 4)
     with pytest.raises(ShapeError, match="channels"):
         layer.forward(rand_uniform((1, 3, 4, 4), Rng(0)))
+    with pytest.raises(ShapeError, match="input batch 0, extent 4x4 is empty"):
+        layer.forward(rand_uniform((0, 2, 4, 4), Rng(0)))
     with pytest.raises(ValueError, match="dtype"):
         layer.forward(rand_uniform((1, 2, 4, 4), Rng(0), dtype=np.float64))
     with pytest.raises(TypeError):

@@ -181,7 +181,7 @@ def test_forward_does_not_fault_its_temporaries_back_in():
         "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, LDCONV_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 quantitative failure (tolerance exceeded, diverged
-training), 2 usage or input errors.  Seeded commands write reports without
-timestamps so identical invocations produce identical bytes.
+training), 2 usage or input errors.  No artifact holds the wall-clock time, so
+identical seeded invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .analysis import ao_csv, average_offset, growth_audit, growth_csv, shape_ao
 from .gradcheck import check_layer_gradients, check_sampler_gradients
 from .geometry import gen_initial_coords, load_custom_shape
 from .layer import POST_MODES, LdconvLayer
-from .report import RunReport, now_stamp
+from .report import RunReport
 from .svgplot import line_chart_svg, shape_scatter_svg
 from .tensor import Rng, rand_uniform, read_tensors
 from .training import (DivergenceError, TinyNet, TrainConfig, load_idx, save_net,
@@ -67,9 +67,7 @@ def _cmd_gen_coords(args) -> int:
     else:
         if args.out is None:
             raise ValueError("--format svg requires --out")
-        stamp = None if args.no_timestamp else now_stamp()
-        _write(args.out, shape_scatter_svg(
-            geometry, title=f"{geometry.n}-point kernel", timestamp=stamp))
+        _write(args.out, shape_scatter_svg(geometry, title=f"{geometry.n}-point kernel"))
     return 0
 
 
@@ -107,7 +105,6 @@ def _cmd_check_grad(args) -> int:
             command="check-grad",
             config={"n": args.n, "dims": list(dims), "seed": args.seed,
                     "eps": args.eps, "f64": args.f64, "sabotage": args.sabotage},
-            timestamp=None,  # seeded: identical runs must serialise identically
             metrics={"groups": {res.group: res.max_rel_err for res in results},
                      "worst": worst, "passed": ok},
             artifacts={},
@@ -169,7 +166,6 @@ def _cmd_bench(args) -> int:
             config={"n": args.n, "c_in": c_in, "c_out": args.c_out, "stride": args.stride,
                     "post": args.post, "dims": list(dims), "iters": args.iters,
                     "warmup": args.warmup},
-            timestamp=None if args.no_timestamp else now_stamp(),
             metrics=metrics, artifacts={},
         ).save(args.out)
     return 0
@@ -218,7 +214,6 @@ def _cmd_train(args) -> int:
 
     report = RunReport(
         command="train", config=asdict(config),
-        timestamp=None,  # seeded run
         metrics=result.metrics(ao_summaries), artifacts=artifacts,
     )
     report_path = report.save(out_dir / "report.json")
@@ -239,7 +234,6 @@ def _cmd_analyze_ao(args) -> int:
     reports = shape_ao_compare(args.checkpoint, probe)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = None if args.no_timestamp else now_stamp()
 
     series = []
     artifacts = {}
@@ -254,19 +248,17 @@ def _cmd_analyze_ao(args) -> int:
                        [float(v) for v in flat]))
         svg_path = out_dir / f"shape_{idx}.svg"
         svg_path.write_text(shape_scatter_svg(
-            geometry, title=f"kernel shape: {Path(path).name}",
-            timestamp=stamp))
+            geometry, title=f"kernel shape: {Path(path).name}"))
         artifacts[f"shape_{idx}"] = svg_path.name
     chart = line_chart_svg(series, title="mean |offset| per output position",
-                           x_label="flattened position", y_label="AO",
-                           timestamp=stamp)
+                           x_label="flattened position", y_label="AO")
     chart_path = out_dir / "ao_compare.svg"
     chart_path.write_text(chart)
     artifacts["chart"] = chart_path.name
 
     RunReport(command="analyze-ao",
               config={"checkpoints": list(args.checkpoint), "probe": args.probe},
-              timestamp=stamp, metrics={"ao": summaries},
+              metrics={"ao": summaries},
               artifacts=artifacts).save(out_dir / "report.json")
     for path, rep, _ in reports:
         print(f"{path}: mean_ao={rep.mean:.5f} std={rep.std:.5f}")
@@ -289,13 +281,11 @@ def _cmd_growth(args) -> int:
         [("deformable params (linear)", ns, [row.params for row in rows]),
          ("k x k conv params (quadratic)", ns, [row.std_params for row in rows])],
         title=f"parameter growth, c_in={args.c_in} c_out={args.c_out}",
-        x_label="kernel size n", y_label="parameters",
-        timestamp=None if args.no_timestamp else now_stamp())
+        x_label="kernel size n", y_label="parameters")
     svg_path = out_dir / "growth.svg"
     svg_path.write_text(chart)
     RunReport(command="growth",
               config={"c_in": args.c_in, "c_out": args.c_out, "n_max": args.n_max},
-              timestamp=None,  # fully determined by flags
               metrics={"rows": [asdict(row) for row in rows]},
               artifacts={"csv": csv_path.name, "svg": svg_path.name},
               ).save(out_dir / "report.json")
@@ -319,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--shape-file", help="custom shape file (row col per line)")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.add_argument("--out", default=None, help="output path (default: stdout for csv)")
-    p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=_cmd_gen_coords)
 
     p = sub.add_parser("check-grad", help="finite-difference gradient verification")
@@ -344,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--out", default=None)
-    p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("train", help="train the two-layer net")
@@ -359,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="network checkpoint (repeatable)")
     p.add_argument("--probe", required=True, help="tensor container with a probe batch")
     p.add_argument("--out", default="runs/ao", help="output directory")
-    p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=_cmd_analyze_ao)
 
     p = sub.add_parser("growth", help="parameter/FLOP growth table and chart")
@@ -367,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-out", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--out", default="runs/growth", help="output directory")
-    p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=_cmd_growth)
     return parser
 

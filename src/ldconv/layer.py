@@ -66,7 +66,6 @@ class LayerCache:
     offsets: OffsetField
     grid: SampleGrid
     sampled: np.ndarray
-    mixed: np.ndarray
     post_cache: dict | None
 
 
@@ -265,10 +264,11 @@ class LdconvLayer:
         return out
 
     def _post_forward(self, mixed: np.ndarray):
-        """Per-channel normalisation over (B, H, W) plus x*sigmoid(x)."""
+        """Per-channel normalisation over (B, H, W) plus x*sigmoid(x); centres mixed in place."""
         dtype = mixed.dtype
-        # np.var's own steps, on the centred array that xhat then reuses
-        xhat = mixed - mixed.mean(axis=(0, 2, 3), keepdims=True)
+        # np.var's own steps, on the centred mix that xhat then reuses
+        xhat = mixed
+        xhat -= mixed.mean(axis=(0, 2, 3), keepdims=True)
         var = np.square(xhat).sum(axis=(0, 2, 3), keepdims=True)
         var /= np.intp(xhat.size // xhat.shape[1])    # np.var divides by an intp count
         inv_std = 1.0 / np.sqrt(var + dtype.type(_NORM_EPS))
@@ -316,13 +316,12 @@ class LdconvLayer:
         xp = pad2d(x.data, self.padding)
         xp_t = _owned(xp) if self.padding else x
         sampled = bilinear_sample(xp_t, grid)
-        mixed = self.aggregate(sampled)
+        y = self.aggregate(sampled)
         post_cache = None
-        y = mixed
         if self.post == "normalize+activation":
-            y, post_cache = self._post_forward(mixed)
+            y, post_cache = self._post_forward(y)
         cache = LayerCache(xp=xp_t.data, offsets=offsets, grid=grid,
-                           sampled=sampled, mixed=mixed, post_cache=post_cache)
+                           sampled=sampled, post_cache=post_cache)
         return _owned(y), cache
 
     # -- backward ------------------------------------------------------------
@@ -336,8 +335,9 @@ class LdconvLayer:
         gradient is the same either way.
         """
         up = upstream.data if isinstance(upstream, Tensor4) else np.asarray(upstream)
-        if up.shape != cache.mixed.shape:
-            raise ShapeError(f"upstream shape {up.shape} != output shape {cache.mixed.shape}")
+        out_shape = (cache.grid.dims[0], self.c_out) + cache.grid.dims[2:]
+        if up.shape != out_shape:
+            raise ShapeError(f"upstream shape {up.shape} != output shape {out_shape}")
         up = up.astype(self.dtype, copy=False)
 
         grad_scale = grad_shift = None

@@ -4,21 +4,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 
 @dataclass
 class RunReport:
-    """Command name, echoed config, optional timestamp, metrics, artifact paths.
+    """Command name, echoed config, metrics, artifact paths.
 
-    Seeded (reproducible) runs carry timestamp=None so that two identical
-    invocations serialise to identical bytes.
+    No field holds the wall-clock time, so two identical invocations
+    serialise to identical bytes.
     """
 
     command: str
     config: dict
-    timestamp: str | None
     metrics: dict
     artifacts: dict
 
@@ -29,7 +27,3 @@ class RunReport:
         path = Path(path)
         path.write_text(self.to_json())
         return path
-
-
-def now_stamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")

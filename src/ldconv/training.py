@@ -28,7 +28,8 @@ NUM_CLASSES = 10
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or offset field."""
+    """Training produced a non-finite loss or offset field, or a step
+    overflowed or made an invalid floating-point operation."""
 
 
 @dataclass(frozen=True)
@@ -294,44 +295,46 @@ def train(net: TinyNet, dataset: Dataset, config: TrainConfig,
     final_train_acc and final_loss on the training subset, final_acc on
     eval_dataset if given (else final_train_acc).  Raises DivergenceError,
     naming the epoch and batch, as soon as a batch loss or an offset field is
-    non-finite.
+    non-finite or an operation overflows or is invalid; that trap reads only
+    this thread's floating-point flags, not those of BLAS worker threads.
     """
     data = dataset.take(config.subset)
     rng = Rng(config.seed)
     losses: list[float] = []
     accs: list[float] = []
     try:
-        for epoch in range(config.epochs):
-            order = rng.stream(f"shuffle/{epoch:05d}").permutation(len(data))
-            epoch_loss = 0.0
-            epoch_hits = 0
-            for batches, start in enumerate(range(0, len(data), config.batch), start=1):
-                where = f"epoch {epoch + 1}, batch {batches}"
-                take = order[start:start + config.batch]
-                images = data.images[take]
-                images.setflags(write=False)   # fresh and ours: Tensor4 keeps it without a copy
-                logits, cache = net.forward(images)
-                loss, dlogits = softmax_cross_entropy(logits, data.labels[take])
-                if not np.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss at {where}")
-                grads = net.backward(cache, dlogits)
-                del cache   # else it lives through the next forward
-                params = net.params()
-                for name, grad in grads.items():
-                    params[name] -= np.asarray(config.lr * grad, dtype=net.dtype)
-                epoch_loss += loss
-                epoch_hits += int((np.argmax(logits, axis=1) == data.labels[take]).sum())
-            losses.append(epoch_loss / batches)
-            accs.append(epoch_hits / len(data))
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(config.epochs):
+                order = rng.stream(f"shuffle/{epoch:05d}").permutation(len(data))
+                epoch_loss = 0.0
+                epoch_hits = 0
+                for batches, start in enumerate(range(0, len(data), config.batch), start=1):
+                    where = f"epoch {epoch + 1}, batch {batches}"
+                    take = order[start:start + config.batch]
+                    images = data.images[take]
+                    images.setflags(write=False)   # fresh and ours: Tensor4 keeps it without a copy
+                    logits, cache = net.forward(images)
+                    loss, dlogits = softmax_cross_entropy(logits, data.labels[take])
+                    if not np.isfinite(loss):
+                        raise DivergenceError(f"non-finite loss at {where}")
+                    grads = net.backward(cache, dlogits)
+                    del cache   # else it lives through the next forward
+                    params = net.params()
+                    for name, grad in grads.items():
+                        params[name] -= np.asarray(config.lr * grad, dtype=net.dtype)
+                    epoch_loss += loss
+                    epoch_hits += int((np.argmax(logits, axis=1) == data.labels[take]).sum())
+                losses.append(epoch_loss / batches)
+                accs.append(epoch_hits / len(data))
 
-        where = f"the evaluation after epoch {config.epochs}"
-        final_train_acc, final_loss = evaluate(net, data, config.batch)
-        final_acc = (evaluate(net, eval_dataset, config.batch)[0]
-                     if eval_dataset is not None else final_train_acc)
-        probe_src = eval_dataset if eval_dataset is not None else data
-        probe = probe_src.images[:min(config.batch, len(probe_src))]
-        ao_batch = net.offset_fields(probe)
-    except NonFiniteError as exc:
+            where = f"the evaluation after epoch {config.epochs}"
+            final_train_acc, final_loss = evaluate(net, data, config.batch)
+            final_acc = (evaluate(net, eval_dataset, config.batch)[0]
+                         if eval_dataset is not None else final_train_acc)
+            probe_src = eval_dataset if eval_dataset is not None else data
+            probe = probe_src.images[:min(config.batch, len(probe_src))]
+            ao_batch = net.offset_fields(probe)
+    except (NonFiniteError, FloatingPointError) as exc:
         raise DivergenceError(f"{exc} at {where}") from exc
     return TrainResult(loss=losses, acc=accs, final_loss=final_loss,
                        final_acc=final_acc, final_train_acc=final_train_acc,

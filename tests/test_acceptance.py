@@ -139,7 +139,7 @@ def test_criterion_5_linear_growth(tmp_path):
         out_dir = tmp_path / "growth"
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["growth", "--c-in", "16", "--c-out", "32", "--n-max",
-                         "16", "--out", str(out_dir), "--no-timestamp"])
+                         "16", "--out", str(out_dir)])
         if code != 0:
             return False, "growth command failed"
         chart = (out_dir / "growth.svg").read_text()

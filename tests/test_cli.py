@@ -4,13 +4,15 @@ Exit-code contract: 0 success, 1 quantitative failure, 2 usage/input error.
 """
 
 import json
+import shlex
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ldconv import training
-from ldconv.cli import main
+from ldconv.cli import build_parser, main
 from ldconv.report import RunReport
 from ldconv.tensor import Rng, Tensor4, read_tensors, write_tensors
 from ldconv.training import TinyNet, TrainConfig, load_net, save_net, synthetic_bars
@@ -42,12 +44,19 @@ def test_gen_coords_svg_requires_out(capsys):
 def test_gen_coords_svg_written(tmp_path):
     out = tmp_path / "shape.svg"
     code = main(["gen-coords", "--n", "7", "--format", "svg",
-                 "--out", str(out), "--no-timestamp"])
+                 "--out", str(out)])
     assert code == 0
     text = out.read_text()
     assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
     assert text.count("<circle") == 7
-    assert "generated" not in text       # --no-timestamp strips the stamp
+
+
+def test_gen_coords_svg_identical_across_directories(tmp_path):
+    for name in ("a", "b"):
+        assert main(["gen-coords", "--n", "7", "--format", "svg",
+                     "--out", str(tmp_path / name / "shape.svg")]) == 0
+    assert (tmp_path / "a" / "shape.svg").read_bytes() == \
+        (tmp_path / "b" / "shape.svg").read_bytes()
 
 
 def test_gen_coords_rejects_nonpositive_n(capsys):
@@ -84,7 +93,7 @@ def test_check_grad_passes_and_reports(tmp_path, capsys):
     assert all(line.startswith("PASS") for line in lines)
     report = json.loads(out.read_text())
     assert report["command"] == "check-grad"
-    assert report["timestamp"] is None
+    assert "timestamp" not in report
     assert report["metrics"]["passed"] is True
 
 
@@ -123,7 +132,7 @@ def test_check_grad_refuses_dims_with_an_empty_sampler_grid(capsys, dims):
 def test_bench_runs_and_reports(tmp_path, capsys):
     out = tmp_path / "bench.json"
     code = main(["bench", "--dims", "1,8,10,10", "--iters", "2",
-                 "--warmup", "0", "--out", str(out), "--no-timestamp"])
+                 "--warmup", "0", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["dims"] == [1, 8, 10, 10]
@@ -141,7 +150,7 @@ def test_bench_runs_and_reports(tmp_path, capsys):
     # the TinyNet layers' setting: stride 2 with the post stage
     assert main(["bench", "--dims", "1,8,10,10", "--stride", "2", "--post",
                  "normalize+activation", "--iters", "2", "--warmup", "0",
-                 "--out", str(out), "--no-timestamp"]) == 0
+                 "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert (report["config"]["stride"], report["config"]["post"]) == (2, "normalize+activation")
     assert report["metrics"]["median_ms"] > 0
@@ -171,7 +180,7 @@ def test_train_synthetic_end_to_end(tmp_path, capsys):
     assert (out_dir / "ao_ld2.csv").exists()
     report = json.loads((out_dir / "report.json").read_text())
     assert report["command"] == "train"
-    assert report["timestamp"] is None
+    assert "timestamp" not in report
     assert len(report["metrics"]["loss"]) == 1
     assert set(report["metrics"]["ao"]) == {"ld1", "ld2"}
     assert "final_acc" in capsys.readouterr().out
@@ -210,16 +219,26 @@ def test_train_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text, ki
 
 
 def test_train_blow_up_is_a_divergence_not_a_usage_error(tmp_path, capsys):
-    # lr=1e30 overflows the activations within a few steps; the non-finite
-    # offset field that follows is a training failure (exit 1), not bad input
+    # lr=1e30 overflows the activations in the second step: a training
+    # failure (exit 1) named by its operation and step, not bad input
     cfg = _tiny_config(tmp_path, lr=1e30, epochs=2, subset=32)
-    with np.errstate(all="ignore"):
-        code = main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")])
+    code = main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")])
     assert code == 1
-    assert "non-finite values at epoch 1, batch 2" in capsys.readouterr().err
+    assert "overflow encountered in square at epoch 1, batch 2" in capsys.readouterr().err
     # a malformed config is still a usage error
     cfg = _tiny_config(tmp_path, lr=-1.0)
     assert main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")]) == 2
+
+
+def test_train_finite_blow_up_exits_1(tmp_path, capsys):
+    # lr=1e6 keeps the loss finite for a while; the overflow inside a step
+    # is the divergence, not a report of a run that learnt nothing
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"lr": 1e6, "epochs": 2, "subset": 256}))
+    assert main(["train", str(cfg), "--synthetic", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "overflow encountered in" in err and " at epoch " in err
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_train_rejects_old_strategy_key(tmp_path, capsys):
@@ -274,7 +293,7 @@ def test_analyze_ao_outputs(tmp_path, capsys):
     probe = _make_probe(tmp_path)
     out_dir = tmp_path / "ao"
     code = main(["analyze-ao", "--checkpoint", str(ck_a), "--checkpoint", str(ck_b),
-                 "--probe", str(probe), "--out", str(out_dir), "--no-timestamp"])
+                 "--probe", str(probe), "--out", str(out_dir)])
     assert code == 0
     for name in ("ao_0.csv", "ao_1.csv", "shape_0.svg", "shape_1.svg",
                  "ao_compare.svg", "report.json"):
@@ -282,6 +301,31 @@ def test_analyze_ao_outputs(tmp_path, capsys):
     chart = (out_dir / "ao_compare.svg").read_text()
     assert "a.ldt" in chart and "b.ldt" in chart
     assert "mean_ao" in capsys.readouterr().out
+
+
+def test_analyze_ao_outputs_identical_across_directories(tmp_path):
+    ck_a = _make_checkpoint(tmp_path, "a.ldt", seed=0)
+    ck_b = _make_checkpoint(tmp_path, "b.ldt", seed=1)
+    probe = _make_probe(tmp_path)
+    for name in ("x", "y"):
+        assert main(["analyze-ao", "--checkpoint", str(ck_a), "--checkpoint", str(ck_b),
+                     "--probe", str(probe), "--out", str(tmp_path / name)]) == 0
+    names = sorted(path.name for path in (tmp_path / "x").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "y").iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes(), name
+
+
+def test_analyze_ao_svgs_parse_with_markup_in_the_checkpoint_name(tmp_path):
+    ck = _make_checkpoint(tmp_path, "a&b<1>.ldt")
+    out_dir = tmp_path / "ao"
+    assert main(["analyze-ao", "--checkpoint", str(ck), "--probe", str(_make_probe(tmp_path)),
+                 "--out", str(out_dir)]) == 0
+    for name, title in (("shape_0.svg", "kernel shape: a&b<1>.ldt"),
+                        ("ao_compare.svg", "a&b<1>.ldt")):
+        svg = ET.parse(out_dir / name)          # ParseError unless well-formed
+        assert title in [el.text for el in svg.iter("{http://www.w3.org/2000/svg}text")], name
 
 
 def test_analyze_ao_loads_each_checkpoint_once(tmp_path, monkeypatch):
@@ -297,8 +341,7 @@ def test_analyze_ao_loads_each_checkpoint_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(training, "read_tensors", counting_read)
     assert main(["analyze-ao", "--checkpoint", str(ck_a), "--checkpoint", str(ck_b),
-                 "--probe", str(probe), "--out", str(tmp_path / "ao"),
-                 "--no-timestamp"]) == 0
+                 "--probe", str(probe), "--out", str(tmp_path / "ao")]) == 0
     assert reads == ["a.ldt", "b.ldt"]
 
 
@@ -373,7 +416,7 @@ def test_analyze_ao_refuses_a_damaged_sidecar(tmp_path, capsys, damage, message)
 def test_growth_audit_outputs(tmp_path):
     out_dir = tmp_path / "growth"
     code = main(["growth", "--c-in", "16", "--c-out", "32", "--n-max", "16",
-                 "--out", str(out_dir), "--no-timestamp"])
+                 "--out", str(out_dir)])
     assert code == 0
     lines = (out_dir / "growth.csv").read_text().splitlines()
     assert len(lines) == 17
@@ -392,7 +435,7 @@ def test_growth_audit_outputs(tmp_path):
 def test_growth_single_row(tmp_path):
     out_dir = tmp_path / "g1"
     assert main(["growth", "--c-in", "4", "--c-out", "8", "--n-max", "1",
-                 "--out", str(out_dir), "--no-timestamp"]) == 0
+                 "--out", str(out_dir)]) == 0
     lines = (out_dir / "growth.csv").read_text().splitlines()
     assert len(lines) == 2
 
@@ -413,11 +456,9 @@ def test_growth_rejects_a_channel_count_below_one(tmp_path, capsys, c_in):
 def test_growth_reports_identical_across_directories(tmp_path):
     for name in ("a", "b"):
         assert main(["growth", "--c-in", "4", "--c-out", "8", "--n-max", "4",
-                     "--out", str(tmp_path / name), "--no-timestamp"]) == 0
-    assert (tmp_path / "a" / "report.json").read_bytes() == \
-        (tmp_path / "b" / "report.json").read_bytes()
-    assert (tmp_path / "a" / "growth.svg").read_bytes() == \
-        (tmp_path / "b" / "growth.svg").read_bytes()
+                     "--out", str(tmp_path / name)]) == 0
+    for name in ("report.json", "growth.csv", "growth.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 # -- parser / report plumbing -------------------------------------------------------
@@ -427,10 +468,35 @@ def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["gen-coords", "--n", "5", "--format", "svg"],
+                                  ["bench"], ["analyze-ao", "--checkpoint", "c.ldt",
+                                              "--probe", "p.ldt"],
+                                  ["growth", "--c-in", "4", "--c-out", "8", "--n-max", "2"]])
+def test_no_timestamp_is_a_usage_error(tmp_path, capsys, argv):
+    # no artifact holds the wall-clock time, so there is nothing to turn off
+    assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 2
+    assert "unrecognized arguments: --no-timestamp" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_cli_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "ldconv" for argv in commands)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
 def test_run_report_round_trip():
-    report = RunReport(command="x", config={"a": 1}, timestamp=None,
+    report = RunReport(command="x", config={"a": 1},
                        metrics={"loss": [1.0, 0.5]}, artifacts={"csv": "out.csv"})
     back = RunReport(**json.loads(report.to_json()))
     assert back == report
+    assert "timestamp" not in json.loads(report.to_json())
     assert report.to_json().endswith("\n")
     assert json.loads(report.to_json())["metrics"]["loss"] == [1.0, 0.5]

@@ -393,12 +393,22 @@ def test_divergence_raises():
 
 
 def test_non_finite_offsets_raise_divergence():
-    # one step at lr=1e30 overflows the activations; the offset field of the
-    # evaluation that follows is non-finite
+    # an infinite offset bias makes the field non-finite with no overflow
+    data = synthetic_bars(8, Rng(10))
+    cfg = TrainConfig(epochs=1, subset=8, batch=8)
+    net = _net(cfg)
+    net.ld1.offset_b[0] = np.inf
+    with pytest.raises(DivergenceError, match="non-finite values at epoch 1, batch 1"):
+        train(net, data, cfg)
+
+
+def test_an_overflow_in_the_evaluation_raises_divergence():
+    # one step at lr=1e30 leaves the weights finite; the evaluation that
+    # follows overflows the activations
     data = synthetic_bars(8, Rng(10))
     cfg = TrainConfig(epochs=1, subset=8, batch=8, lr=1e30)
-    with np.errstate(all="ignore"), \
-            pytest.raises(DivergenceError, match="non-finite values at the evaluation"):
+    with pytest.raises(DivergenceError,
+                       match="overflow encountered in square at the evaluation after epoch 1"):
         train(_net(cfg), data, cfg)
 
 

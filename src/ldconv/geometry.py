@@ -20,6 +20,11 @@ class ShapeFileError(ValueError):
     """A custom shape description is malformed or inconsistent."""
 
 
+# Largest coordinate accepted: float32 holds every integer up to 2**24
+# exactly, so no two points of a float32 layer's kernel merge.
+MAX_COORD = 2 ** 24
+
+
 @dataclass(frozen=True)
 class KernelGeometry:
     """Distinct non-negative integer (row, col) sampling coordinates."""
@@ -35,6 +40,8 @@ class KernelGeometry:
             if len(pair) != 2:
                 raise ValueError(f"coordinate {pair!r} is not a (row, col) pair")
             r, c = pair
+            if r > MAX_COORD or c > MAX_COORD:     # before float(), which overflows
+                raise ShapeFileError(f"coordinate ({r}, {c}) above {MAX_COORD}")
             if not (float(r).is_integer() and float(c).is_integer()):
                 raise ValueError(f"fractional coordinate ({r}, {c}) not allowed")
             r, c = int(r), int(c)
@@ -72,6 +79,7 @@ def gen_initial_coords(n: int) -> KernelGeometry:
 def load_custom_shape(text: str) -> KernelGeometry:
     """Parse a shape file: one "row col" pair per line, '#' starts a comment."""
     coords: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -86,8 +94,9 @@ def load_custom_shape(text: str) -> KernelGeometry:
                 f"line {lineno}: coordinates must be integers, got {raw!r}") from None
         if r < 0 or c < 0:
             raise ShapeFileError(f"line {lineno}: negative coordinate ({r}, {c})")
-        if (r, c) in coords:
+        if (r, c) in seen:
             raise ShapeFileError(f"line {lineno}: duplicate coordinate ({r}, {c})")
+        seen.add((r, c))
         coords.append((r, c))
     if not coords:
         raise ShapeFileError("shape file holds no coordinates")

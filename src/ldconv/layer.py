@@ -360,6 +360,7 @@ class LdconvLayer:
         xp_t = Tensor4(cache.xp)
         grad_xp_t, grad_rows, grad_cols = bilinear_backward(xp_t, cache.grid, grad_sampled,
                                                             input_grad=input_grad)
+        del grad_sampled              # as large as the samples; freed before the windows
 
         # grid -> offset field (anchors and initial coordinates are constant)
         grad_field = np.concatenate([grad_rows, grad_cols], axis=1).reshape(b_n, 2 * self.n, cells)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# grid lines (and labels) per axis of a shape scatter, beyond which it coarsens
+MAX_GRID_LINES = 64
 
 
 def _fmt(v: float) -> str:
@@ -49,28 +53,35 @@ class SvgCanvas:
 
 
 def shape_scatter_svg(geometry, title: str = "kernel shape") -> str:
-    """Unit-grid scatter of kernel coordinates; rows grow downward."""
+    """Scatter of kernel coordinates over a grid; rows grow downward.
+
+    Up to MAX_GRID_LINES units per axis every unit gets a 40 px cell, a grid
+    line and a label; a wider shape is drawn at a coarser step with smaller
+    cells, so the drawing stays about as large as a 64-unit one.
+    """
     rows = geometry.rows()
     cols = geometry.cols()
     span_r = int(rows.max()) + 1
     span_c = int(cols.max()) + 1
-    cell = 40
+    step = -(-max(span_r, span_c) // MAX_GRID_LINES)      # 1 up to 64 units
+    cell = 40 / step
     margin = 50
-    width = margin * 2 + span_c * cell
-    height = margin * 2 + span_r * cell + 20
+    width = margin * 2 + math.ceil(span_c * cell)
+    height = margin * 2 + math.ceil(span_r * cell) + 20
     svg = SvgCanvas(width, height)
     svg.text(margin, 25, title, size=13)
-    for r in range(span_r + 1):
+    for r in range(0, span_r + 1, step):
         y = margin + r * cell
         svg.line(margin, y, margin + span_c * cell, y)
-    for c in range(span_c + 1):
+    for c in range(0, span_c + 1, step):
         x = margin + c * cell
         svg.line(x, margin, x, margin + span_r * cell)
     for (r, c) in geometry.coords:
-        svg.circle(margin + (c + 0.5) * cell, margin + (r + 0.5) * cell, 9, PALETTE[0])
-    for r in range(span_r):
+        svg.circle(margin + (c + 0.5) * cell, margin + (r + 0.5) * cell, max(9 / step, 2),
+                   PALETTE[0])
+    for r in range(0, span_r, step):
         svg.text(margin - 8, margin + (r + 0.5) * cell + 4, str(r), anchor="end")
-    for c in range(span_c):
+    for c in range(0, span_c, step):
         svg.text(margin + (c + 0.5) * cell, margin + span_r * cell + 16, str(c),
                  anchor="middle")
     return svg.to_string()

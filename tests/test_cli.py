@@ -13,6 +13,7 @@ import pytest
 
 from ldconv import training
 from ldconv.cli import build_parser, main
+from ldconv.geometry import MAX_COORD, gen_initial_coords
 from ldconv.report import RunReport
 from ldconv.tensor import Rng, Tensor4, read_tensors, write_tensors
 from ldconv.training import TinyNet, TrainConfig, load_net, save_net, synthetic_bars
@@ -76,6 +77,26 @@ def test_gen_coords_duplicate_shape_file(tmp_path, capsys):
     shape.write_text("0 0\n0 0\n")
     assert main(["gen-coords", "--shape-file", str(shape)]) == 2
     assert "duplicate coordinate" in capsys.readouterr().err
+
+
+def test_gen_coords_refuses_a_coordinate_above_the_bound(tmp_path, capsys):
+    # float() of a 401-digit row raised OverflowError, not a usage error
+    shape = tmp_path / "far.txt"
+    shape.write_text(f"0 0\n{10**400} 0\n")
+    assert main(["gen-coords", "--shape-file", str(shape)]) == 2
+    assert f"above {MAX_COORD}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("far", [(100_000, 0), (MAX_COORD, MAX_COORD)])
+def test_gen_coords_svg_stays_small_for_a_wide_shape(tmp_path, far):
+    # one grid line and label per unit made row 100000 an 18.7 MB drawing
+    shape = tmp_path / "far.txt"
+    shape.write_text(f"0 0\n{far[0]} {far[1]}\n")
+    out = tmp_path / "far.svg"
+    assert main(["gen-coords", "--shape-file", str(shape), "--format", "svg",
+                 "--out", str(out)]) == 0
+    assert out.stat().st_size < 64 * 1024
+    ET.parse(out)
 
 
 def test_gen_coords_needs_exactly_one_source():
@@ -408,6 +429,34 @@ def test_analyze_ao_refuses_a_damaged_sidecar(tmp_path, capsys, damage, message)
                  "--out", str(tmp_path / "ao")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def _with_ld2_point(path, point):
+    """Rewrite the checkpoint's sidecar so ld2's last kernel point is point."""
+    sidecar_path = Path(str(path) + ".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    coords = [list(pair) for pair in gen_initial_coords(sidecar["ld2"]["n"]).coords]
+    sidecar["ld2"]["coords"] = coords[:-1] + [list(point)]
+    sidecar_path.write_text(json.dumps(sidecar))
+
+
+def test_analyze_ao_refuses_a_sidecar_coordinate_above_the_bound(tmp_path, capsys):
+    path = _make_checkpoint(tmp_path, "far.ldt")
+    _with_ld2_point(path, (10**400, 0))
+    code = main(["analyze-ao", "--checkpoint", str(path), "--probe", str(_make_probe(tmp_path)),
+                 "--out", str(tmp_path / "ao")])
+    assert code == 2
+    assert f"above {MAX_COORD}" in capsys.readouterr().err
+
+
+def test_analyze_ao_shape_svg_stays_small_for_a_wide_sidecar_shape(tmp_path):
+    path = _make_checkpoint(tmp_path, "far.ldt")
+    _with_ld2_point(path, (100_000, 0))
+    out_dir = tmp_path / "ao"
+    assert main(["analyze-ao", "--checkpoint", str(path), "--probe", str(_make_probe(tmp_path)),
+                 "--out", str(out_dir)]) == 0
+    assert (out_dir / "shape_0.svg").stat().st_size < 64 * 1024
+    ET.parse(out_dir / "shape_0.svg")
 
 
 # -- growth -----------------------------------------------------------------------

@@ -7,6 +7,7 @@ two routes independent is the point: agreement is evidence, not tautology.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldconv.geometry import (
+    MAX_COORD,
     KernelGeometry,
     ShapeFileError,
     base_grid,
@@ -101,6 +103,19 @@ def test_geometry_rejects_fractional():
         KernelGeometry(((0, 0), (0.5, 1)))
 
 
+@pytest.mark.parametrize("pair", [(MAX_COORD + 1, 0), (0, 10**400), (float("inf"), 0)],
+                         ids=["above-bound", "401-digits", "inf"])
+def test_geometry_rejects_coordinates_above_the_bound(pair):
+    with pytest.raises(ShapeFileError, match=f"above {MAX_COORD}"):
+        KernelGeometry(((0, 0), pair))
+
+
+def test_geometry_accepts_the_bound_and_keeps_it_in_float32():
+    geo = KernelGeometry(((0, 0), (MAX_COORD, MAX_COORD - 1)))
+    assert geo.rows().astype(np.float32).astype(np.int64).tolist() == [0, MAX_COORD]
+    assert geo.cols().astype(np.float32).astype(np.int64).tolist() == [0, MAX_COORD - 1]
+
+
 def test_geometry_row_and_col_vectors():
     geo = KernelGeometry(((0, 0), (2, 1), (1, 3)))
     assert geo.rows().tolist() == [0, 2, 1]
@@ -142,6 +157,17 @@ def test_load_custom_shape_bad_lines():
         load_custom_shape("0 -1\n")
     with pytest.raises(ShapeFileError, match="no coordinates"):
         load_custom_shape("# nothing here\n\n")
+
+
+def test_load_custom_shape_is_linear_in_the_point_count():
+    # a list membership test made this quadratic: 8,000 points took 1.25 s
+    text = "\n".join(f"{k // 400} {k % 400}" for k in range(100_000))
+    start = time.perf_counter()
+    geo = load_custom_shape(text)
+    assert time.perf_counter() - start < 10
+    assert geo.n == 100_000 and geo.coords[-1] == (249, 399)
+    with pytest.raises(ShapeFileError, match="line 100001: duplicate coordinate \\(0, 0\\)"):
+        load_custom_shape(text + "\n0 0\n")
 
 
 # -- base grid ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Deformable layer: offsets, grid assembly, aggregation, and gradients."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldconv.layer as layer_mod
+import ldconv.sampler as sampler_mod
 from ldconv.gradcheck import check_layer_gradients
 from ldconv.geometry import KernelGeometry, gen_initial_coords
 from ldconv.cli import REL_TOL_STRATEGY
@@ -540,3 +542,92 @@ def test_layer_checkpoint_custom_geometry(tmp_path):
     assert "coords" not in layer_sidecar(LdconvLayer.create(5, 1, 2))
     back = _round_trip(layer, tmp_path / "plus.ldt")
     assert back.geometry.coords == geo.coords
+
+
+# -- sampler blocks ---------------------------------------------------------------
+# The sampler works through runs of whole images of at most sampler.BLOCK_BYTES
+# of samples.  Every block writes its own slice of the full-size outputs, and
+# each input-gradient bin belongs to one image, so the block size changes no bit.
+
+
+def _fwd_bwd_outputs(layer, x, up, input_grad):
+    y, cache = layer.forward(x)
+    grads = layer.backward(cache, up, input_grad=input_grad)
+    out = {"y": y.data, "x": None if grads.x is None else grads.x.data}
+    out.update((name, getattr(grads, name)) for name in layer.params())
+    return out
+
+
+def _assert_same_bits(got, want):
+    for name in want:
+        if want[name] is None:
+            assert got[name] is None, name
+        else:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def _block_case(stride, padding, post, dtype, seed, dims=(3, 3, 8, 7)):
+    rng = Rng(seed)
+    layer = _randomized(LdconvLayer.create(5, dims[1], 4, stride=stride, padding=padding,
+                                           post=post, rng=rng), rng).astype(dtype)
+    x = rand_uniform(dims, rng, stream="x", dtype=dtype)
+    y_dims = layer.forward(x)[0].dims
+    up = Tensor4(rng.stream("up").uniform(-1, 1, size=y_dims).astype(dtype))
+    return layer, x, up
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("post", ["none", "normalize+activation"])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_one_image_per_block_gives_the_same_bits(monkeypatch, stride, padding, post, dtype,
+                                                 input_grad):
+    layer, x, up = _block_case(stride, padding, post, dtype, seed=stride + 10 * padding)
+    whole = _fwd_bwd_outputs(layer, x, up, input_grad)       # one block at this size
+    monkeypatch.setattr(sampler_mod, "BLOCK_BYTES", 1)
+    _assert_same_bits(_fwd_bwd_outputs(layer, x, up, input_grad), whole)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "many-blocks"])
+def test_no_output_reads_uninitialised_memory(monkeypatch, block_bytes):
+    # np.empty and np.empty_like hand out NaN (or the integer minimum): any
+    # element read before it is written changes an output's bits
+    cases = [_block_case(2, 1, post, np.float32, seed=3) for post in ("none", "normalize+activation")]
+    want = [_fwd_bwd_outputs(*case, input_grad) for case in cases for input_grad in (True, False)]
+    if block_bytes is not None:
+        monkeypatch.setattr(sampler_mod, "BLOCK_BYTES", block_bytes)
+    real_empty, real_empty_like = np.empty, np.empty_like
+
+    def poisoned(arr):
+        if arr.dtype.kind == "f":
+            arr.fill(np.nan)
+        elif arr.dtype.kind in "iu":
+            arr.fill(np.iinfo(arr.dtype).min)
+        return arr
+
+    monkeypatch.setattr(np, "empty", lambda *a, **k: poisoned(real_empty(*a, **k)))
+    monkeypatch.setattr(np, "empty_like", lambda *a, **k: poisoned(real_empty_like(*a, **k)))
+    got = [_fwd_bwd_outputs(*case, input_grad) for case in cases for input_grad in (True, False)]
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
+
+
+def test_stress_shape_forward_backward_peak_memory():
+    # (8,16,32,32), n=9: one image's (P, C) samples are 576 KiB, so the
+    # sampler works one image at a time; the full-batch gather, weighting and
+    # scatter buffers of one call took the traced peak to 22.9 MiB
+    rng = Rng(0)
+    layer = _randomized(LdconvLayer.create(9, 16, 32, rng=rng), rng)
+    x = rand_uniform((8, 16, 32, 32), rng, stream="x")
+    up = Tensor4(rng.stream("up").uniform(-1, 1, size=(8, 32, 32, 32)).astype(np.float32))
+    layer.backward(layer.forward(x)[1], up)
+    tracemalloc.start()
+    try:
+        _, cache = layer.forward(x)
+        layer.backward(cache, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20

@@ -49,3 +49,38 @@ def test_compare_shape_ao(tmp_path, capsys):
         assert float(row.split()[1]) >= 0.0
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "generated.ldt", "generated.ldt.json", "plus_5.ldt", "plus_5.ldt.json"]
+
+
+def _run(workload, pair, side, exit_code=0, **metrics):
+    return {"workload": workload, "seed": 1, "pair": pair, "side": side, "exit": exit_code,
+            "metrics": metrics}
+
+
+def test_ab_bench_summary_counts_pair_wins_by_direction():
+    better = {"peak_rss_mb": "lower", "img_per_s": "higher"}
+    runs = [
+        _run("stress_layer", 0, "base", peak_rss_mb=60.0, img_per_s=100.0),
+        _run("stress_layer", 0, "change", peak_rss_mb=56.0, img_per_s=90.0),
+        _run("stress_layer", 1, "change", peak_rss_mb=57.0, img_per_s=110.0),
+        _run("stress_layer", 1, "base", peak_rss_mb=57.0, img_per_s=100.0),
+        _run("stress_layer", 2, "base", peak_rss_mb=62.0, img_per_s=105.0),
+        _run("stress_layer", 2, "change", 1),                  # crashed: no metrics
+        _run("infer_eval", 0, "base", peak_rss_mb=61.0),
+        _run("infer_eval", 0, "change", peak_rss_mb=62.0),
+    ]
+    summary = _script("ab_bench").summarize(runs, better)
+    assert list(summary) == ["stress_layer seed 1", "infer_eval seed 1"]
+    stress = summary["stress_layer seed 1"]
+    assert stress["exit_codes"] == {"base": [0, 0, 0], "change": [0, 0, 1]}
+    rss = stress["metrics"]["peak_rss_mb"]
+    # the crashed pair counts for neither side; the equal pair is a tie
+    assert rss["wins"] == {"change": 1, "base": 0, "ties": 1, "pairs": 2}
+    assert rss["base"] == {"n": 3, "median": 60.0, "q1": 58.5, "q3": 61.0}
+    assert rss["change"] == {"n": 2, "median": 56.5, "q1": 56.25, "q3": 56.75}
+    assert stress["metrics"]["img_per_s"]["wins"] == {"change": 1, "base": 1, "ties": 0,
+                                                      "pairs": 2}
+    infer = summary["infer_eval seed 1"]["metrics"]
+    assert infer["peak_rss_mb"]["wins"] == {"change": 0, "base": 1, "ties": 0, "pairs": 1}
+    assert infer["peak_rss_mb"]["change"] == {"n": 1, "median": 62.0, "q1": 62.0, "q3": 62.0}
+    assert infer["img_per_s"]["wins"]["pairs"] == 0
+    assert infer["img_per_s"]["base"]["median"] is None

@@ -81,20 +81,25 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in tree: exit code, metric values and env line."""
+    """One perfbench run in tree: exit code, metric values, env line and the
+    names of failed checks; a run that exits non-zero or prints no result
+    keeps its stderr tail too."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
-    record = {"exit": proc.returncode, "metrics": {}, "env": None, "correct": None}
+    record = {"exit": proc.returncode, "metrics": {}, "env": None, "correct": None,
+              "failed_checks": None}
     if len(lines) >= 2:
         detail, result = json.loads(lines[-2]), json.loads(lines[-1])
         record["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
         record["correct"] = result["correct"]
+        record["failed_checks"] = detail["failed_checks"]
         env = detail["env"]
         record["env"] = {key: env.get(key) for key in ("blas_threads", "blas", "numpy")}
-    else:
-        record["stderr_tail"] = proc.stderr.strip().splitlines()[-5:]
+    if proc.returncode != 0 or len(lines) < 2:
+        # 20 lines: perfbench's per-check lines and the error that ended the run
+        record["stderr_tail"] = proc.stderr.strip().splitlines()[-20:]
     return record
 
 

@@ -77,22 +77,12 @@ def _cmd_gen_coords(args) -> int:
 def _cmd_check_grad(args) -> int:
     dims = _parse_dims(args.dims)
     dtype = np.float64 if args.f64 else np.float32
-    if args.eps is not None:
-        if not 0 < args.eps < float("inf"):
-            raise ValueError(f"--eps must be finite and > 0, got {args.eps}")
-        sampler_eps = layer_eps = args.eps
-    elif args.f64:
-        sampler_eps, layer_eps = 1e-3, 1e-4
-    else:
-        # float32 rounding dominates the difference quotient at the 64-bit
-        # steps; the loss is piecewise-polynomial (degree <= 2) in any single
-        # parameter, so a coarser step adds no truncation error.
-        sampler_eps = layer_eps = 1e-2
+    if args.eps is not None and not 0 < args.eps < float("inf"):
+        raise ValueError(f"--eps must be finite and > 0, got {args.eps}")
     results = check_sampler_gradients(dims=dims, n=args.n, seed=args.seed,
-                                      eps=sampler_eps, dtype=dtype)
+                                      eps=args.eps, dtype=dtype)
     results += check_layer_gradients(dims=dims, n=args.n, seed=args.seed,
-                                     eps=layer_eps, dtype=dtype,
-                                     sabotage=args.sabotage)
+                                     eps=args.eps, dtype=dtype, sabotage=args.sabotage)
     worst = 0.0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

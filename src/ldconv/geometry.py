@@ -17,7 +17,12 @@ import numpy as np
 
 
 class ShapeFileError(ValueError):
-    """A custom shape description is malformed or inconsistent."""
+    """A custom shape description is malformed or inconsistent; index is the
+    position of the offending point when one point is at fault."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 # Largest coordinate accepted: float32 holds every integer up to 2**24
@@ -36,19 +41,20 @@ class KernelGeometry:
             raise ValueError("kernel geometry needs at least one coordinate")
         seen = set()
         cleaned = []
-        for pair in self.coords:
+        for k, pair in enumerate(self.coords):
             if len(pair) != 2:
                 raise ValueError(f"coordinate {pair!r} is not a (row, col) pair")
             r, c = pair
-            if r > MAX_COORD or c > MAX_COORD:     # before float(), which overflows
-                raise ShapeFileError(f"coordinate ({r}, {c}) above {MAX_COORD}")
+            # both bounds before float(), which overflows past 1e308
+            if r < 0 or c < 0:
+                raise ShapeFileError(f"negative coordinate ({r}, {c})", k)
+            if r > MAX_COORD or c > MAX_COORD:
+                raise ShapeFileError(f"coordinate ({r}, {c}) above {MAX_COORD}", k)
             if not (float(r).is_integer() and float(c).is_integer()):
                 raise ValueError(f"fractional coordinate ({r}, {c}) not allowed")
             r, c = int(r), int(c)
-            if r < 0 or c < 0:
-                raise ShapeFileError(f"negative coordinate ({r}, {c})")
             if (r, c) in seen:
-                raise ShapeFileError(f"duplicate coordinate ({r}, {c})")
+                raise ShapeFileError(f"duplicate coordinate ({r}, {c})", k)
             seen.add((r, c))
             cleaned.append((r, c))
         object.__setattr__(self, "coords", tuple(cleaned))
@@ -77,30 +83,33 @@ def gen_initial_coords(n: int) -> KernelGeometry:
 
 
 def load_custom_shape(text: str) -> KernelGeometry:
-    """Parse a shape file: one "row col" pair per line, '#' starts a comment."""
+    """Parse a shape file: one "row col" pair per line, '#' starts a comment.
+
+    KernelGeometry validates the points; every error names the first bad line.
+    """
     coords: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    linenos: list[int] = []
+    unparsed = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ShapeFileError(f"line {lineno}: expected 'row col', got {raw!r}")
         try:
-            r, c = int(parts[0]), int(parts[1])
+            r, c = map(int, parts)
         except ValueError:
-            raise ShapeFileError(
-                f"line {lineno}: coordinates must be integers, got {raw!r}") from None
-        if r < 0 or c < 0:
-            raise ShapeFileError(f"line {lineno}: negative coordinate ({r}, {c})")
-        if (r, c) in seen:
-            raise ShapeFileError(f"line {lineno}: duplicate coordinate ({r}, {c})")
-        seen.add((r, c))
+            what = "coordinates must be integers" if len(parts) == 2 else "expected 'row col'"
+            unparsed = f"line {lineno}: {what}, got {raw!r}"
+            break
         coords.append((r, c))
-    if not coords:
-        raise ShapeFileError("shape file holds no coordinates")
-    return KernelGeometry(tuple(coords))
+        linenos.append(lineno)
+    try:  # the points before an unparsable line may hold an earlier error
+        geometry = KernelGeometry(tuple(coords)) if coords else None
+    except ShapeFileError as exc:
+        raise ShapeFileError(f"line {linenos[exc.index]}: {exc}") from None
+    if unparsed or not coords:
+        raise ShapeFileError(unparsed or "shape file holds no coordinates")
+    return geometry
 
 
 @dataclass(frozen=True)

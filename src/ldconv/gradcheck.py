@@ -1,15 +1,17 @@
 """Central finite-difference verification of the analytic backward passes.
 
-The scalar probe loss is sum(output * R) for a fixed random R, so the analytic
-gradient is simply the backward pass run with upstream R.  Errors are reported
-per parameter group as max|analytic - fd| / max(max|analytic|, max|fd|, eps),
-i.e. relative to the group's largest entry, which keeps near-zero elements
-(whose fd value is pure roundoff) from dominating.
+fd_check is the one harness.  The sampler and layer checks' probe loss is
+sum(output * R) for a fixed random R, so the analytic gradient is the backward
+pass run with upstream R; their eps=None takes the step for the dtype from
+DEFAULT_EPS.  Errors are reported per parameter group as
+max|analytic - fd| / max(max|analytic|, max|fd|, eps), i.e. relative to the
+group's largest entry, which keeps near-zero elements (whose fd value is pure
+roundoff) from dominating.
 
 Test fixtures keep every sampling coordinate at least 0.2 away from integer
-lattice points and clamp boundaries: the sampled surface is only piecewise
-smooth, and a coordinate that crosses a cell edge between the two half-steps
-would invalidate the central difference.
+lattice points and clamp boundaries (off_lattice_offsets for a layer): the
+sampled surface is only piecewise smooth, and a coordinate that crosses a cell
+edge between the two half-steps would invalidate the central difference.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from .sampler import SampleGrid, bilinear_backward, bilinear_sample
 from .tensor import Rng, Tensor4
 
 DEFAULT_TOL = {np.dtype(np.float64): 1e-6, np.dtype(np.float32): 1e-3}
+# Step per dtype and check.  float32 rounding dominates the difference quotient
+# at the 64-bit steps; the probe loss is piecewise-polynomial (degree <= 2) in
+# any single parameter, so a coarser step adds no truncation error.
+DEFAULT_EPS = {np.dtype(np.float64): {"sampler": 1e-3, "layer": 1e-4},
+               np.dtype(np.float32): {"sampler": 1e-2, "layer": 1e-2}}
 
 
 @dataclass(frozen=True)
@@ -36,30 +43,34 @@ class GradCheckResult:
         return self.max_rel_err < self.tol
 
 
-def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
-    denom = max(float(np.max(np.abs(analytic), initial=0.0)),
-                float(np.max(np.abs(fd), initial=0.0)), 1e-12)
-    return float(np.max(np.abs(analytic - fd), initial=0.0)) / denom
+def fd_check(loss, groups: dict[str, tuple[np.ndarray, np.ndarray]], eps: float,
+             tol: float) -> list[GradCheckResult]:
+    """Central differences of loss() against each group's analytic gradient.
 
-
-def _fd_grad(loss_fn, param: np.ndarray, eps: float) -> np.ndarray:
-    """Central differences of loss_fn() w.r.t. an array perturbed in place."""
-    fd = np.zeros(param.shape, dtype=np.float64)
-    flat = param.reshape(-1)
-    out = fd.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + eps
-        plus = loss_fn()
-        flat[i] = keep - eps
-        minus = loss_fn()
-        flat[i] = keep
-        out[i] = (plus - minus) / (2.0 * eps)
-    return fd
+    groups maps a name to (analytic gradient, array); each entry of the array
+    in turn is moved by +-eps in place, so loss() must read that array.
+    """
+    results = []
+    for name, (analytic, param) in groups.items():
+        fd = np.zeros(param.shape, dtype=np.float64)
+        for i in range(param.size):
+            keep = param.flat[i]
+            param.flat[i] = keep + eps
+            plus = loss()
+            param.flat[i] = keep - eps
+            minus = loss()
+            param.flat[i] = keep
+            fd.flat[i] = (plus - minus) / (2.0 * eps)
+        denom = max(float(np.max(np.abs(analytic), initial=0.0)),
+                    float(np.max(np.abs(fd), initial=0.0)), 1e-12)
+        err = float(np.max(np.abs(analytic - fd), initial=0.0)) / denom
+        results.append(GradCheckResult(name, err, tol))
+    return results
 
 
 def check_sampler_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
-                            eps: float = 1e-3, dtype=np.float64) -> list[GradCheckResult]:
+                            eps: float | None = None,
+                            dtype=np.float64) -> list[GradCheckResult]:
     """Finite-difference suite for bilinear_sample's gradients; needs H, W >= 2."""
     dtype = np.dtype(dtype)
     rng = Rng(seed)
@@ -90,37 +101,32 @@ def check_sampler_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
 
     grid = SampleGrid(rows=rows, cols=cols)
     grad_x, grad_rows, grad_cols = bilinear_backward(Tensor4(x_arr), grid, upstream)
+    groups = {"sampler/grad_x": (grad_x.data, x_arr), "sampler/grad_rows": (grad_rows, rows),
+              "sampler/grad_cols": (grad_cols, cols)}
+    return fd_check(loss, groups, DEFAULT_EPS[dtype]["sampler"] if eps is None else eps,
+                    DEFAULT_TOL[dtype])
 
-    tol = DEFAULT_TOL[dtype]
-    results = []
-    for name, analytic, param in (("sampler/grad_x", np.array(grad_x.data), x_arr),
-                                  ("sampler/grad_rows", grad_rows, rows),
-                                  ("sampler/grad_cols", grad_cols, cols)):
-        fd = _fd_grad(loss, param, eps)
-        results.append(GradCheckResult(name, _rel_err(analytic, fd), tol))
-    return results
+
+def off_lattice_offsets(layer: LdconvLayer, gen: np.random.Generator) -> None:
+    """Offset biases in +-[0.25, 0.45], and offset weights small enough that on
+    inputs in [-1, 1] the data-dependent jitter stays below 0.02."""
+    mag = gen.uniform(0.25, 0.45, size=2 * layer.n)
+    sign = np.where(gen.random(2 * layer.n) < 0.5, -1.0, 1.0)
+    layer.offset_b = (mag * sign).astype(layer.dtype)
+    jitter = 0.02 / (9.0 * layer.c_in)
+    layer.offset_w = gen.uniform(-jitter, jitter,
+                                 size=layer.offset_w.shape).astype(layer.dtype)
 
 
 def _layer_fixture(dims, n: int, seed: int, dtype, post: str, stride: int, padding: int):
-    """Layer + input with all grid coordinates >= 0.2 from any lattice point.
-
-    Offset biases land in +-[0.25, 0.45] and the offset weights are scaled so
-    the data-dependent jitter stays below 0.02, bounding every coordinate's
-    distance to the integer lattice (and so to clamp edges) away from zero.
-    """
-    dtype = np.dtype(dtype)
+    """Layer with off-lattice offsets, an input in [0, 1) and an upstream."""
     rng = Rng(seed)
     b_n, c_in, h_in, w_in = dims
     c_out = 4
     layer = LdconvLayer.create(n, c_in, c_out, stride=stride, padding=padding,
                                post=post, rng=rng, dtype=dtype, name="gradcheck")
     gen = rng.stream("layer/fixture")
-    mag = gen.uniform(0.25, 0.45, size=2 * n)
-    sign = np.where(gen.random(2 * n) < 0.5, -1.0, 1.0)
-    layer.offset_b = (mag * sign).astype(dtype)
-    jitter = 0.02 / (9.0 * c_in)
-    layer.offset_w = gen.uniform(-jitter, jitter,
-                                 size=(2 * n, c_in, 3, 3)).astype(dtype)
+    off_lattice_offsets(layer, gen)
     if layer.agg_b is not None:
         layer.agg_b = gen.uniform(-0.1, 0.1, size=c_out).astype(dtype)
     x_arr = gen.random(dims).astype(dtype)
@@ -130,7 +136,7 @@ def _layer_fixture(dims, n: int, seed: int, dtype, post: str, stride: int, paddi
 
 
 def check_layer_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
-                          eps: float = 1e-4, dtype=np.float64, post: str = "none",
+                          eps: float | None = None, dtype=np.float64, post: str = "none",
                           stride: int = 1, padding: int = 0,
                           sabotage: bool = False) -> list[GradCheckResult]:
     """Finite-difference suite for the layer's input and parameter gradients.
@@ -150,14 +156,8 @@ def check_layer_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
     if sabotage:
         grads.offset_w = grads.offset_w * 1.5 + 1e-3
 
-    groups = [("layer/input", np.array(grads.x.data), x_arr)]
-    groups += [(f"layer/{name}", getattr(grads, name), param)
-               for name, param in layer.params().items()]
-
-    tol = DEFAULT_TOL[dtype]
-    results = []
-    for name, analytic, param in groups:
-        assert param.flags.writeable  # perturbed in place; loss() re-reads it
-        fd = _fd_grad(loss, param, eps)
-        results.append(GradCheckResult(name, _rel_err(analytic, fd), tol))
-    return results
+    groups = {"layer/input": (grads.x.data, x_arr)}
+    groups.update({f"layer/{name}": (getattr(grads, name), param)
+                   for name, param in layer.params().items()})
+    return fd_check(loss, groups, DEFAULT_EPS[dtype]["layer"] if eps is None else eps,
+                    DEFAULT_TOL[dtype])

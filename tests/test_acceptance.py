@@ -22,10 +22,11 @@ from test_layer import layout_deviation
 
 from ldconv.analysis import average_offset, growth_audit
 from ldconv.geometry import gen_initial_coords
-from ldconv.gradcheck import check_layer_gradients
+from ldconv.gradcheck import check_layer_gradients, fd_check, off_lattice_offsets
 from ldconv.layer import LdconvLayer, OffsetField
-from ldconv.tensor import Rng, conv2d_reference, rand_uniform
-from ldconv.training import TinyNet, TrainConfig, softmax_cross_entropy, synthetic_bars, train
+from ldconv.tensor import Rng, Tensor4, conv2d_reference, rand_uniform
+from ldconv.training import (NUM_CLASSES, TinyNet, TrainConfig, softmax_cross_entropy,
+                             synthetic_bars, train)
 
 
 def _run(num, desc, budget_s, fn):
@@ -107,8 +108,48 @@ def test_criterion_3_standard_conv_equivalence():
     _run(3, "zero-offset layers equal the direct reference convolution", 10.0, check)
 
 
+def _net_check(n, post, seed, only=None, double_ld2_upstream=False):
+    """fd_check of a float64 TinyNet's params() groups (all, or those named in
+    only) on 3 images of 1x11x11, through softmax cross-entropy."""
+    rng = Rng(seed)
+    net = TinyNet.create(n, n, post=post, rng=rng)
+    net = TinyNet(**{name: part.astype(np.float64) for name, part in vars(net).items()})
+    gen = rng.stream("net/fixture")
+    # ld2's input reaches about 3 after the post stage, past the [-1, 1] the
+    # jitter bound assumes; its grid still kept >= 0.25 from the lattice
+    for layer in (net.ld1, net.ld2):
+        off_lattice_offsets(layer, gen)
+    images = gen.random((3, 1, 11, 11))
+    labels = gen.integers(0, NUM_CLASSES, size=3)
+    if double_ld2_upstream:       # the fault a wrong pool factor would cause
+        ld2 = net.ld2
+        ld2.backward = lambda cache, up, **kw: LdconvLayer.backward(
+            ld2, cache, Tensor4(2.0 * up.data), **kw)
+
+    def loss():
+        return softmax_cross_entropy(net.forward(images)[0], labels)[0]
+
+    logits, cache = net.forward(images)
+    grads = net.backward(cache, softmax_cross_entropy(logits, labels)[1])
+    groups = {name: (grads[name], param) for name, param in net.params().items()
+              if only is None or name in only}
+    return fd_check(loss, groups, eps=1e-5, tol=1e-6)
+
+
 def test_criterion_4_gradient_correctness():
     def check():
+        net_worst = 0.0
+        for n, post in ((5, "normalize+activation"), (3, "none")):
+            for res in _net_check(n, post, seed=0):
+                net_worst = max(net_worst, res.max_rel_err)
+                if not res.passed:
+                    return False, f"TinyNet n={n} {post} {res.group}: {res.max_rel_err:.2e}"
+        faulty = _net_check(5, "normalize+activation", seed=0,
+                            only=("ld1.post_shift", "ld2.post_shift", "fc.b"),
+                            double_ld2_upstream=True)
+        if [res.passed for res in faulty] != [False, False, True]:
+            return False, "doubled ld2 upstream, want ld1/ld2 to fail and fc.b to pass: " + \
+                ", ".join(f"{res.group} {res.max_rel_err:.1e}" for res in faulty)
         worst = 0.0
         runs = 0
         for n in (1, 3, 5, 9):
@@ -125,7 +166,9 @@ def test_criterion_4_gradient_correctness():
         if all(r.passed for r in sab):
             return False, "sabotaged gradients were not detected"
         return True, (f"{runs} runs (N in {{1,3,5,9}}, 20 seeds), 64-bit worst "
-                      f"{worst:.2e} (tol 1e-6); sabotage detected")
+                      f"{worst:.2e} (tol 1e-6); sabotage detected; float64 TinyNet, "
+                      f"every params() group (n=5 post, n=3 none), worst {net_worst:.2e} "
+                      f"(tol 1e-6); doubled ld2 upstream detected")
     _run(4, "analytic gradients match central finite differences", 120.0, check)
 
 

@@ -442,11 +442,15 @@ def _with_ld2_point(path, point):
 
 def test_analyze_ao_refuses_a_sidecar_coordinate_above_the_bound(tmp_path, capsys):
     path = _make_checkpoint(tmp_path, "far.ldt")
-    _with_ld2_point(path, (10**400, 0))
-    code = main(["analyze-ao", "--checkpoint", str(path), "--probe", str(_make_probe(tmp_path)),
-                 "--out", str(tmp_path / "ao")])
-    assert code == 2
-    assert f"above {MAX_COORD}" in capsys.readouterr().err
+    probe = _make_probe(tmp_path)
+    # -10**400 escaped as an OverflowError from float(): a traceback and exit 1
+    for point, message in (((10**400, 0), f"above {MAX_COORD}"),
+                           ((-10**400, 0), "negative coordinate")):
+        _with_ld2_point(path, point)
+        code = main(["analyze-ao", "--checkpoint", str(path), "--probe", str(probe),
+                     "--out", str(tmp_path / "ao")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_analyze_ao_shape_svg_stays_small_for_a_wide_sidecar_shape(tmp_path):

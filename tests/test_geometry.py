@@ -103,11 +103,16 @@ def test_geometry_rejects_fractional():
         KernelGeometry(((0, 0), (0.5, 1)))
 
 
-@pytest.mark.parametrize("pair", [(MAX_COORD + 1, 0), (0, 10**400), (float("inf"), 0)],
-                         ids=["above-bound", "401-digits", "inf"])
-def test_geometry_rejects_coordinates_above_the_bound(pair):
-    with pytest.raises(ShapeFileError, match=f"above {MAX_COORD}"):
+@pytest.mark.parametrize(("pair", "message"), [
+    ((MAX_COORD + 1, 0), f"above {MAX_COORD}"), ((0, 10**400), f"above {MAX_COORD}"),
+    ((float("inf"), 0), f"above {MAX_COORD}"),
+    # float() of it raised OverflowError: negatives are refused before it
+    ((-10**400, 0), "negative coordinate"),
+], ids=["above-bound", "401-digits", "inf", "minus-401-digits"])
+def test_geometry_rejects_coordinates_above_the_bound(pair, message):
+    with pytest.raises(ShapeFileError, match=message) as caught:
         KernelGeometry(((0, 0), pair))
+    assert caught.value.index == 1
 
 
 def test_geometry_accepts_the_bound_and_keeps_it_in_float32():
@@ -157,6 +162,18 @@ def test_load_custom_shape_bad_lines():
         load_custom_shape("0 -1\n")
     with pytest.raises(ShapeFileError, match="no coordinates"):
         load_custom_shape("# nothing here\n\n")
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    ("0 0\n\n# far\n99999999 2\n", "line 4: coordinate \\(99999999, 2\\) above 16777216"),
+    (f"0 0\n-{10**400} 0\n", "line 2: negative coordinate"),
+    # an earlier bad point wins over a later unparsable line
+    ("0 0\n0 0\njunk\n", "line 2: duplicate coordinate \\(0, 0\\)"),
+    ("0 0\njunk\n0 0\n", "line 2: expected 'row col'"),
+], ids=["above-bound", "minus-401-digits", "duplicate-first", "unparsable-first"])
+def test_load_custom_shape_names_the_line_of_every_error(text, message):
+    with pytest.raises(ShapeFileError, match=message):
+        load_custom_shape(text)
 
 
 def test_load_custom_shape_is_linear_in_the_point_count():

@@ -84,3 +84,23 @@ def test_ab_bench_summary_counts_pair_wins_by_direction():
     assert infer["peak_rss_mb"]["change"] == {"n": 1, "median": 62.0, "q1": 62.0, "q3": 62.0}
     assert infer["img_per_s"]["wins"]["pairs"] == 0
     assert infer["img_per_s"]["base"]["median"] is None
+
+
+def test_ab_bench_keeps_failed_checks_and_the_stderr_of_a_failed_run(tmp_path):
+    # a run that fails a check still prints both result lines, so its stderr
+    # tail was dropped and the failed check's name was never kept
+    stub = tmp_path / "perfbench" / "run.py"
+    stub.parent.mkdir()
+    stub.write_text(
+        "import json, sys\n"
+        "print('ok   stress_layer shapes: fine', file=sys.stderr)\n"
+        "print('FAIL stress_layer float32_outputs: err 1e-2', file=sys.stderr)\n"
+        "print(json.dumps({'env': {'blas_threads': 1}, 'failed_checks': ['float32_outputs']}))\n"
+        "print(json.dumps({'correct': False, 'metrics': {'img_per_s': {'value': 5.0}}}))\n"
+        "sys.exit(1)\n")
+    record = _script("ab_bench").run_once(tmp_path, "stress_layer", 1, 1.0)
+    assert record["exit"] == 1 and record["correct"] is False
+    assert record["metrics"] == {"img_per_s": 5.0}
+    assert record["failed_checks"] == ["float32_outputs"]
+    assert record["stderr_tail"] == ["ok   stress_layer shapes: fine",
+                                     "FAIL stress_layer float32_outputs: err 1e-2"]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import KernelGeometry
-from .layer import LdconvLayer, OffsetField
+from .layer import LdconvLayer, NonFiniteError, OffsetField
 from .tensor import Rng, Tensor4
 from .training import load_net
 
@@ -63,13 +63,8 @@ def average_offset(offsets: OffsetField) -> AoReport:
 
 def ao_csv(report: AoReport) -> str:
     """One row per position: b,i,j,ao."""
-    lines = ["b,i,j,ao"]
-    b_n, h_n, w_n = report.per_position.shape
-    for b in range(b_n):
-        for i in range(h_n):
-            for j in range(w_n):
-                lines.append(f"{b},{i},{j},{float(report.per_position[b, i, j])!r}")
-    return "\n".join(lines) + "\n"
+    return "b,i,j,ao\n" + "".join(f"{b},{i},{j},{float(ao)!r}\n"
+                                  for (b, i, j), ao in np.ndenumerate(report.per_position))
 
 
 # -- growth audit -------------------------------------------------------------
@@ -136,6 +131,7 @@ def shape_ao_compare(checkpoint_paths,
 
     All checkpoints must agree on kernel sizes, channel structure, and stride
     so their AO fields are comparable; only the kernel geometry may differ.
+    Parameters that overflow float32 on the probe raise NonFiniteError.
     """
     if not checkpoint_paths:
         raise ValueError("no checkpoints given")
@@ -149,6 +145,10 @@ def shape_ao_compare(checkpoint_paths,
         elif signature != reference:
             raise IncompatibleCheckpointError(
                 f"{path}: architecture {signature} != {reference}")
-        fields = net.offset_fields(probe.data)
-        reports.append((str(path), average_offset(fields["ld2"]), net.ld2.geometry))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                ao = average_offset(net.offset_fields(probe.data)["ld2"])
+        except FloatingPointError as exc:
+            raise NonFiniteError(f"{path}: {exc} on the probe") from None
+        reports.append((str(path), ao, net.ld2.geometry))
     return reports

@@ -8,6 +8,7 @@ identical seeded invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import resource
 import statistics
@@ -22,7 +23,6 @@ from .analysis import ao_csv, average_offset, growth_audit, growth_csv, shape_ao
 from .gradcheck import check_layer_gradients, check_sampler_gradients
 from .geometry import gen_initial_coords, load_custom_shape
 from .layer import POST_MODES, LdconvLayer
-from .report import RunReport
 from .svgplot import line_chart_svg, shape_scatter_svg
 from .tensor import Rng, rand_uniform, read_tensors
 from .training import (DivergenceError, TinyNet, TrainConfig, load_idx, save_net,
@@ -43,13 +43,27 @@ def _parse_dims(text: str) -> tuple[int, int, int, int]:
     return dims
 
 
-def _write(path: str | None, content: str) -> str | None:
+def _write(path: str | Path | None, content: str) -> str | None:
+    """The one writer of every text file: content to path, or to stdout for None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(content)
         return None
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(content)
     return str(path)
+
+
+def _report(path, command: str, config: dict, metrics: dict, artifacts: dict) -> str | None:
+    """Write the JSON report: four sorted keys, 2-space indent, trailing newline."""
+    return _write(path, json.dumps({"command": command, "config": config, "metrics": metrics,
+                                    "artifacts": artifacts}, indent=2, sort_keys=True) + "\n")
+
+
+def _write_files(out_dir: Path, files: dict[str, tuple[str, str]]) -> dict[str, str]:
+    """Write each (file name, text) into out_dir; the artifacts: key -> name in out_dir."""
+    for name, text in files.values():
+        _write(out_dir / name, text)
+    return {key: name for key, (name, _) in files.items()}
 
 
 # -- gen-coords ---------------------------------------------------------------
@@ -61,12 +75,11 @@ def _cmd_gen_coords(args) -> int:
     else:
         geometry = gen_initial_coords(args.n)
     if args.format == "csv":
-        lines = ["index,row,col"]
-        lines += [f"{k},{r},{c}" for k, (r, c) in enumerate(geometry.coords)]
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, "index,row,col\n" + "".join(
+            f"{k},{r},{c}\n" for k, (r, c) in enumerate(geometry.coords)))
+    elif args.out is None:
+        raise ValueError("--format svg requires --out")
     else:
-        if args.out is None:
-            raise ValueError("--format svg requires --out")
         _write(args.out, shape_scatter_svg(geometry, title=f"{geometry.n}-point kernel"))
     return 0
 
@@ -91,15 +104,11 @@ def _cmd_check_grad(args) -> int:
         worst = max(worst, res.max_rel_err)
     ok = all(res.passed for res in results)
     if args.out:
-        report = RunReport(
-            command="check-grad",
-            config={"n": args.n, "dims": list(dims), "seed": args.seed,
-                    "eps": args.eps, "f64": args.f64, "sabotage": args.sabotage},
-            metrics={"groups": {res.group: res.max_rel_err for res in results},
-                     "worst": worst, "passed": ok},
-            artifacts={},
-        )
-        report.save(args.out)
+        _report(args.out, "check-grad",
+                {"n": args.n, "dims": list(dims), "seed": args.seed, "eps": args.eps,
+                 "f64": args.f64, "sabotage": args.sabotage},
+                {"groups": {res.group: res.max_rel_err for res in results},
+                 "worst": worst, "passed": ok}, {})
     return 0 if ok else 1
 
 
@@ -151,13 +160,10 @@ def _cmd_bench(args) -> int:
     print(f"minor page faults per forward+backward={metrics['minor_faults_per_iter']:.1f}")
     print(f"peak RSS={metrics['peak_rss_mb']:.1f} MB")
     if args.out:
-        RunReport(
-            command="bench",
-            config={"n": args.n, "c_in": c_in, "c_out": args.c_out, "stride": args.stride,
-                    "post": args.post, "dims": list(dims), "iters": args.iters,
-                    "warmup": args.warmup},
-            metrics=metrics, artifacts={},
-        ).save(args.out)
+        _report(args.out, "bench",
+                {"n": args.n, "c_in": c_in, "c_out": args.c_out, "stride": args.stride,
+                 "post": args.post, "dims": list(dims), "iters": args.iters,
+                 "warmup": args.warmup}, metrics, {})
     return 0
 
 
@@ -165,8 +171,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    config = TrainConfig.from_dict(raw)
+    config = TrainConfig.from_dict(json.loads(Path(args.config).read_text()))
     rng = Rng(config.seed)
     if config.data_dir:
         root = Path(config.data_dir)
@@ -188,25 +193,14 @@ def _cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     net = TinyNet.create(n1=config.n1, n2=config.n2, post=config.post, rng=rng)
     result = train(net, data, config, eval_dataset=eval_data)
-    ckpt = out_dir / "checkpoint.ldt"
-    save_net(net, ckpt, config)
-
-    ao_summaries = {}
-    # artifact paths are relative to the report's directory so a rerun into a
-    # different directory serialises to identical bytes
-    artifacts = {"checkpoint": ckpt.name, "checkpoint_sidecar": ckpt.name + ".json"}
-    for name, field in result.ao_batch.items():
-        rep = average_offset(field)
-        ao_summaries[name] = rep.summary()
-        csv_path = out_dir / f"ao_{name}.csv"
-        csv_path.write_text(ao_csv(rep))
-        artifacts[f"ao_{name}"] = csv_path.name
-
-    report = RunReport(
-        command="train", config=asdict(config),
-        metrics=result.metrics(ao_summaries), artifacts=artifacts,
-    )
-    report_path = report.save(out_dir / "report.json")
+    save_net(net, out_dir / "checkpoint.ldt", config)
+    ao = {name: average_offset(field) for name, field in result.ao_batch.items()}
+    artifacts = _write_files(out_dir, {f"ao_{name}": (f"ao_{name}.csv", ao_csv(rep))
+                                       for name, rep in ao.items()})
+    artifacts.update(checkpoint="checkpoint.ldt", checkpoint_sidecar="checkpoint.ldt.json")
+    report_path = _report(out_dir / "report.json", "train", asdict(config),
+                          result.metrics({name: rep.summary() for name, rep in ao.items()}),
+                          artifacts)
     print(f"epochs={config.epochs} final_acc={result.final_acc:.4f} "
           f"train_acc={result.final_train_acc:.4f} params={result.param_count} "
           f"report={report_path}")
@@ -222,34 +216,21 @@ def _cmd_analyze_ao(args) -> int:
         raise ValueError(f"{args.probe}: empty probe container")
     probe = next(iter(probe_records.values()))
     reports = shape_ao_compare(args.checkpoint, probe)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    series = []
-    artifacts = {}
-    summaries = {}
+    files, series = {}, []
     for idx, (path, rep, geometry) in enumerate(reports):
-        csv_path = out_dir / f"ao_{idx}.csv"
-        csv_path.write_text(ao_csv(rep))
-        artifacts[f"ao_{idx}"] = csv_path.name
-        summaries[path] = rep.summary()
+        name = Path(path).name
+        files[f"ao_{idx}"] = (f"ao_{idx}.csv", ao_csv(rep))
+        files[f"shape_{idx}"] = (f"shape_{idx}.svg",
+                                 shape_scatter_svg(geometry, title=f"kernel shape: {name}"))
         flat = rep.position_mean.reshape(-1)
-        series.append((Path(path).name, list(range(flat.size)),
-                       [float(v) for v in flat]))
-        svg_path = out_dir / f"shape_{idx}.svg"
-        svg_path.write_text(shape_scatter_svg(
-            geometry, title=f"kernel shape: {Path(path).name}"))
-        artifacts[f"shape_{idx}"] = svg_path.name
-    chart = line_chart_svg(series, title="mean |offset| per output position",
-                           x_label="flattened position", y_label="AO")
-    chart_path = out_dir / "ao_compare.svg"
-    chart_path.write_text(chart)
-    artifacts["chart"] = chart_path.name
-
-    RunReport(command="analyze-ao",
-              config={"checkpoints": list(args.checkpoint), "probe": args.probe},
-              metrics={"ao": summaries},
-              artifacts=artifacts).save(out_dir / "report.json")
+        series.append((name, list(range(flat.size)), [float(v) for v in flat]))
+    files["chart"] = ("ao_compare.svg", line_chart_svg(
+        series, title="mean |offset| per output position",
+        x_label="flattened position", y_label="AO"))
+    _report(Path(args.out, "report.json"), "analyze-ao",
+            {"checkpoints": list(args.checkpoint), "probe": args.probe},
+            {"ao": {path: rep.summary() for path, rep, _ in reports}},
+            _write_files(Path(args.out), files))
     for path, rep, _ in reports:
         print(f"{path}: mean_ao={rep.mean:.5f} std={rep.std:.5f}")
     return 0
@@ -262,30 +243,26 @@ def _cmd_growth(args) -> int:
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     rows = growth_audit(args.c_in, args.c_out, range(1, args.n_max + 1))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "growth.csv"
-    csv_path.write_text(growth_csv(rows))
     ns = [row.n for row in rows]
     chart = line_chart_svg(
         [("deformable params (linear)", ns, [row.params for row in rows]),
          ("k x k conv params (quadratic)", ns, [row.std_params for row in rows])],
         title=f"parameter growth, c_in={args.c_in} c_out={args.c_out}",
         x_label="kernel size n", y_label="parameters")
-    svg_path = out_dir / "growth.svg"
-    svg_path.write_text(chart)
-    RunReport(command="growth",
-              config={"c_in": args.c_in, "c_out": args.c_out, "n_max": args.n_max},
-              metrics={"rows": [asdict(row) for row in rows]},
-              artifacts={"csv": csv_path.name, "svg": svg_path.name},
-              ).save(out_dir / "report.json")
-    print(csv_path)
+    out_dir = Path(args.out)
+    _report(out_dir / "report.json", "growth",
+            {"c_in": args.c_in, "c_out": args.c_out, "n_max": args.n_max},
+            {"rows": [asdict(row) for row in rows]},
+            _write_files(out_dir, {"csv": ("growth.csv", growth_csv(rows)),
+                                   "svg": ("growth.svg", chart)}))
+    print(out_dir / "growth.csv")
     return 0
 
 
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache   # argparse looks sys.stderr up when it prints, so redirects still work
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldconv",

@@ -11,6 +11,7 @@ be supplied through a shape file.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,24 @@ class ShapeFileError(ValueError):
 # Largest coordinate accepted: float32 holds every integer up to 2**24
 # exactly, so no two points of a float32 layer's kernel merge.
 MAX_COORD = 2 ** 24
+# Nine significant digits lie past MAX_COORD; int() refuses runs past 4,300 digits.
+_FAR = re.compile(r"[+-]?0*[1-9][0-9]{8,}")
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+class _Far(int):
+    """A _FAR token: an int just past MAX_COORD, of the token's sign, shown as the token."""
+
+    def __new__(cls, token: str):
+        self = super().__new__(cls, -MAX_COORD - 1 if token[0] == "-" else MAX_COORD + 1)
+        self.token = token
+        return self
+
+    def __str__(self) -> str:
+        return _clip(self.token)
 
 
 @dataclass(frozen=True)
@@ -96,10 +115,10 @@ def load_custom_shape(text: str) -> KernelGeometry:
             continue
         parts = line.split()
         try:
-            r, c = map(int, parts)
+            r, c = (_Far(p) if _FAR.fullmatch(p) else int(p) for p in parts)
         except ValueError:
             what = "coordinates must be integers" if len(parts) == 2 else "expected 'row col'"
-            unparsed = f"line {lineno}: {what}, got {raw!r}"
+            unparsed = f"line {lineno}: {what}, got {_clip(raw)!r}"
             break
         coords.append((r, c))
         linenos.append(lineno)

@@ -370,7 +370,8 @@ def load_net(path) -> tuple[TinyNet, dict]:
 
     The sidecar fixes the structure, the classifier included; every params()
     entry is then filled from the record of the same name.  A sidecar key or a
-    record that is missing or disagrees with the structure raises ValueError.
+    record that is missing or disagrees with the structure raises ValueError,
+    the records' dims before the sidecar's integers size any array.
     """
     path = Path(path)
     sidecar = json.loads(Path(str(path) + ".json").read_text())
@@ -379,25 +380,33 @@ def load_net(path) -> tuple[TinyNet, dict]:
     if sidecar.get("kind") != "tinynet":
         raise ValueError(f"{path}: not a network checkpoint")
     records = read_tensors(path)
+
+    def check(name, dims):
+        if name not in records:
+            raise ValueError(f"checkpoint missing record {name!r}")
+        if records[name].dims != dims:
+            raise ValueError(f"record {name!r} has dims {records[name].dims}, "
+                             f"the sidecar's structure needs {dims}")
     try:
         for key in ("ld1", "ld2"):
             if not isinstance(sidecar[key], dict):
                 raise ValueError(f"sidecar entry {key!r} is not a JSON object")
+        # agg_w and fc.w hold every integer that sizes an array, so they go first
+        first = {key + ".agg_w": (*(sidecar_int(sidecar[key], k)
+                                    for k in ("c_out", "c_in", "n")), 1) for key in ("ld1", "ld2")}
+        first["fc.w"] = (sidecar_int(sidecar, "classes"), first["ld2.agg_w"][0], 1, 1)
+        for name, dims in first.items():
+            check(name, dims)
+        classes = first["fc.w"][0]
         ld1, ld2 = (layer_from_sidecar(sidecar[key]) for key in ("ld1", "ld2"))
-        classes = sidecar_int(sidecar, "classes")
+        net = TinyNet(ld1=ld1, ld2=ld2,
+                      fc_w=np.zeros((classes, ld2.c_out), dtype=np.float32),
+                      fc_b=np.zeros(classes, dtype=np.float32))
+        for name, arr in net.params().items():
+            check(name, arr.shape + (1,) * (4 - arr.ndim))
+            arr[...] = records[name].data.reshape(arr.shape)
     except KeyError as exc:
         raise ValueError(f"{path}: sidecar has no key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    net = TinyNet(ld1=ld1, ld2=ld2,
-                  fc_w=np.zeros((classes, ld2.c_out), dtype=np.float32),
-                  fc_b=np.zeros(classes, dtype=np.float32))
-    for name, arr in net.params().items():
-        if name not in records:
-            raise ValueError(f"{path}: checkpoint missing record {name!r}")
-        data = records[name].data
-        if data.size != arr.size:
-            raise ValueError(f"{path}: record {name!r} has dims {records[name].dims}, "
-                             f"the sidecar's structure needs {arr.shape}")
-        arr[...] = data.reshape(arr.shape)
     return net, sidecar

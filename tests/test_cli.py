@@ -4,7 +4,9 @@ Exit-code contract: 0 success, 1 quantitative failure, 2 usage/input error.
 """
 
 import json
+import re
 import shlex
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,7 +16,6 @@ import pytest
 from ldconv import training
 from ldconv.cli import build_parser, main
 from ldconv.geometry import MAX_COORD, gen_initial_coords
-from ldconv.report import RunReport
 from ldconv.tensor import Rng, Tensor4, read_tensors, write_tensors
 from ldconv.training import TinyNet, TrainConfig, load_net, save_net, synthetic_bars
 
@@ -391,6 +392,20 @@ def test_analyze_ao_refuses_a_classifier_narrower_than_ld2(tmp_path, capsys):
     assert "'fc.w'" in capsys.readouterr().err
 
 
+def test_analyze_ao_refuses_offsets_that_overflow_float32(tmp_path, capsys):
+    # a finite 1e38 offset bias overflowed the AO sums: RuntimeWarnings, exit 0,
+    # and a report.json holding "std": NaN, which is not JSON
+    path = _make_checkpoint(tmp_path, "huge.ldt")
+    records = read_tensors(path)
+    records["ld2.offset_b"] = Tensor4(np.full(records["ld2.offset_b"].dims, 1e38, np.float32))
+    write_tensors(path, records)
+    code = main(["analyze-ao", "--checkpoint", str(path), "--probe", str(_make_probe(tmp_path)),
+                 "--out", str(tmp_path / "ao")])
+    assert code == 2
+    assert "huge.ldt: overflow encountered" in capsys.readouterr().err
+    assert not (tmp_path / "ao").exists()
+
+
 def test_analyze_ao_refuses_an_empty_probe_batch(tmp_path, capsys):
     probe = tmp_path / "empty.ldt"
     write_tensors(probe, {"probe": Tensor4(np.zeros((0, 1, 28, 28), dtype=np.float32))})
@@ -429,6 +444,31 @@ def test_analyze_ao_refuses_a_damaged_sidecar(tmp_path, capsys, damage, message)
                  "--out", str(tmp_path / "ao")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("damage", "record"), [
+    (lambda s: {**s, "classes": 10**12}, "fc.w"),
+    (lambda s: {**s, "ld2": {**s["ld2"], "c_out": 10**12}}, "ld2.agg_w"),
+    (lambda s: {**s, "ld1": {**s["ld1"], "n": 200_000}}, "ld1.agg_w"),
+], ids=["classes", "ld2-c_out", "ld1-n"])
+def test_analyze_ao_refuses_sidecar_integers_before_allocating(tmp_path, capsys, damage, record):
+    # these sized arrays from the sidecar before any record was compared:
+    # MemoryError out of main for 10**12, 48.7 MiB traced and 2 s for n=200000
+    path = _make_checkpoint(tmp_path, "big.ldt")
+    probe = _make_probe(tmp_path)
+    sidecar_path = Path(str(path) + ".json")
+    sidecar_path.write_text(json.dumps(damage(json.loads(sidecar_path.read_text()))))
+    tracemalloc.start()
+    try:
+        code = main(["analyze-ao", "--checkpoint", str(path), "--probe", str(probe),
+                     "--out", str(tmp_path / "ao")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"record {record!r} has dims" in err and "Traceback" not in err
+    assert peak < 1 << 20
 
 
 def _with_ld2_point(path, point):
@@ -478,7 +518,15 @@ def test_growth_audit_outputs(tmp_path):
     chart = (out_dir / "growth.svg").read_text()
     assert "deformable params (linear)" in chart
     assert "k x k conv params (quadratic)" in chart
-    report = json.loads((out_dir / "report.json").read_text())
+    text = (out_dir / "report.json").read_text()
+    report = json.loads(text)
+    # every report: exactly these four keys, sorted, 2-space indent, one trailing newline
+    assert list(report) == ["artifacts", "command", "config", "metrics"]
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert "timestamp" not in text
+    assert report["command"] == "growth"
+    assert report["config"] == {"c_in": 16, "c_out": 32, "n_max": 16}
+    assert report["artifacts"] == {"csv": "growth.csv", "svg": "growth.svg"}
     assert len(report["metrics"]["rows"]) == 16
     row = report["metrics"]["rows"][1]
     assert set(row) == {"n", "params", "flops", "delta_params", "std_k", "std_params"}
@@ -521,6 +569,16 @@ def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
 
 
+def test_main_builds_the_parser_once(capsys):
+    build_parser.cache_clear()
+    assert main(["gen-coords", "--n", "2"]) == 0
+    assert main(["gen-coords", "--n", "3", "--bogus"]) == 2
+    assert build_parser.cache_info().misses == 1
+    # argparse finds sys.stderr when it prints, so the cached parser's usage
+    # errors still reach whatever stream is installed then
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["gen-coords", "--n", "5", "--format", "svg"],
                                   ["bench"], ["analyze-ao", "--checkpoint", "c.ldt",
                                               "--probe", "p.ldt"],
@@ -530,6 +588,15 @@ def test_no_timestamp_is_a_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out"), "--no-timestamp"]) == 2
     assert "unrecognized arguments: --no-timestamp" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_readme_layout_table_matches_src():
+    root = Path(__file__).resolve().parents[1]
+    table = (root / "README.md").read_text().split("## Layout\n", 1)[1].split("\n## ", 1)[0]
+    paths = re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
+    assert [path for path in paths if not (root / path).exists()] == []
+    modules = {f"src/ldconv/{p.name}" for p in (root / "src" / "ldconv").glob("*.py")}
+    assert modules - {"src/ldconv/__init__.py"} <= set(paths)
 
 
 def test_readme_cli_commands_parse():
@@ -543,13 +610,3 @@ def test_readme_cli_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
-
-
-def test_run_report_round_trip():
-    report = RunReport(command="x", config={"a": 1},
-                       metrics={"loss": [1.0, 0.5]}, artifacts={"csv": "out.csv"})
-    back = RunReport(**json.loads(report.to_json()))
-    assert back == report
-    assert "timestamp" not in json.loads(report.to_json())
-    assert report.to_json().endswith("\n")
-    assert json.loads(report.to_json())["metrics"]["loss"] == [1.0, 0.5]

@@ -2,16 +2,23 @@
 never raise, with small generated sizes."""
 
 import contextlib
+import functools
 import io
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ldconv.cli import main
 from ldconv.geometry import MAX_COORD
+from ldconv.tensor import Rng, rand_uniform, write_tensors
+from ldconv.training import TinyNet, save_net
 
 _COORD = st.one_of(st.integers(0, 6), st.integers(-3, -1),
-                   st.sampled_from([MAX_COORD, MAX_COORD + 1, 10**400, -10**400]))
+                   st.sampled_from([MAX_COORD, MAX_COORD + 1, 10**400, -10**400,
+                                    "9" * 5000, "-" + "9" * 5000]))
 _PAIR = st.builds("{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), _COORD,
                   st.sampled_from([" ", "  ", "\t"]), _COORD)
 _JUNK = st.sampled_from(["", "  ", "# note", "#1 2", "5", "1 2 3", "x y", "1.5 2",
@@ -56,3 +63,73 @@ def test_gen_coords_fuzzed_shape_files(tmp_path, lines, trailing_newline):
         rows = out.getvalue().splitlines()
         assert rows[0] == "index,row,col"
         assert rows[1:] == [f"{k},{r},{c}" for k, (r, c) in enumerate(points)]
+
+
+# -- checkpoints through analyze-ao ---------------------------------------------------
+
+_LAYER_INTS = ("n", "c_in", "c_out", "stride", "padding")
+_INT_SPOTS = [("classes",)] + [(layer, key) for layer in ("ld1", "ld2") for key in _LAYER_INTS]
+_KEY_SPOTS = [("kind",), ("ld1",), ("ld2",), ("classes",)] + [
+    (layer, key) for layer in ("ld1", "ld2") for key in (*_LAYER_INTS, "post")]
+_COORDS = st.sampled_from([5, "x", None, [], [[0, 0]], [[0, 0], [0, 1]], [[-1, 0]],
+                           [[10**400, 0]], [[1.5, 0]], [[True, 0]], [[0]], [[100_000, 0]]])
+_EDIT = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_INT_SPOTS),
+              st.sampled_from([0, -1, 2, 10**12, True, "5", None, 2.5])),
+    st.tuples(st.just("del"), st.sampled_from(_KEY_SPOTS)),
+    st.tuples(st.just("set"), st.sampled_from([("ld1", "coords"), ("ld2", "coords")]), _COORDS))
+_DAMAGE = st.one_of(st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
+                    st.tuples(st.just("cut"), st.integers(0, 1 << 20)))
+
+
+@functools.cache
+def _checkpoint():
+    """(container bytes, sidecar) of a 2.5 KB n=1 TinyNet, and a 1x1x6x6 probe."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.ldt"
+        save_net(TinyNet.create(n1=1, n2=1), path)
+        write_tensors(Path(tmp) / "probe.ldt", {"probe": rand_uniform((1, 1, 6, 6), Rng(0))})
+        return (path.read_bytes(), Path(str(path) + ".json").read_text(),
+                (Path(tmp) / "probe.ldt").read_bytes())
+
+
+def _edit_sidecar(sidecar, edit):
+    *where, key = edit[1]
+    for step in where:
+        sidecar = sidecar.get(step) if isinstance(sidecar, dict) else None
+    if isinstance(sidecar, dict):
+        if edit[0] == "set":
+            sidecar[key] = edit[2]
+        else:
+            sidecar.pop(key, None)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(_EDIT, max_size=3), damage=st.lists(_DAMAGE, max_size=2))
+def test_analyze_ao_fuzzed_checkpoints(tmp_path, edits, damage):
+    blob, sidecar_text, probe = _checkpoint()
+    sidecar = json.loads(sidecar_text)
+    for edit in edits:
+        _edit_sidecar(sidecar, edit)
+    blob = bytearray(blob)
+    for kind, where, *bits in damage:
+        where %= max(len(blob), 1)
+        if kind == "cut":
+            del blob[where:]
+        elif blob:
+            blob[where] ^= bits[0]
+    path = tmp_path / "net.ldt"
+    path.write_bytes(blob)
+    Path(str(path) + ".json").write_text(json.dumps(sidecar))
+    (tmp_path / "probe.ldt").write_bytes(probe)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze-ao", "--checkpoint", str(path),
+                     "--probe", str(tmp_path / "probe.ldt"), "--out", str(tmp_path / "ao")])
+    assert code in (0, 2), err.getvalue()
+    if not edits and not damage:
+        assert code == 0, err.getvalue()
+    assert len(out.getvalue()) + len(err.getvalue()) < 4096
+    if code == 0:
+        assert sum(f.stat().st_size for f in (tmp_path / "ao").iterdir()) < 1 << 20

@@ -170,7 +170,14 @@ def test_load_custom_shape_bad_lines():
     # an earlier bad point wins over a later unparsable line
     ("0 0\n0 0\njunk\n", "line 2: duplicate coordinate \\(0, 0\\)"),
     ("0 0\njunk\n0 0\n", "line 2: expected 'row col'"),
-], ids=["above-bound", "minus-401-digits", "duplicate-first", "unparsable-first"])
+    # int() refuses runs past 4,300 digits; the message echoes 40 of them
+    (f"0 0\n{'9' * 5000} 1\n",
+     f"line 2: coordinate \\({'9' * 40}\\.\\.\\. \\(5000 characters\\), 1\\) above 16777216$"),
+    (f"0 0\n1 -{'9' * 5000}\n", "line 2: negative coordinate \\(1, -9{39}\\.\\.\\. \\(5001 "),
+    (f"x {'1' * 5000}\n", "line 1: coordinates must be integers, got 'x 1{38}\\.\\.\\. "
+                        "\\(5002 characters\\)'$"),
+], ids=["above-bound", "minus-401-digits", "duplicate-first", "unparsable-first",
+        "5000-digits", "minus-5000-digits", "echo-capped"])
 def test_load_custom_shape_names_the_line_of_every_error(text, message):
     with pytest.raises(ShapeFileError, match=message):
         load_custom_shape(text)

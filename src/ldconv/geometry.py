@@ -29,8 +29,10 @@ class ShapeFileError(ValueError):
 # Largest coordinate accepted: float32 holds every integer up to 2**24
 # exactly, so no two points of a float32 layer's kernel merge.
 MAX_COORD = 2 ** 24
-# Nine significant digits lie past MAX_COORD; int() refuses runs past 4,300 digits.
+# Nine significant digits lie past MAX_COORD; int() refuses runs past 4,300
+# digits, leading zeros included, so it gets the token without them.
 _FAR = re.compile(r"[+-]?0*[1-9][0-9]{8,}")
+_LEADING_ZEROS = re.compile(r"^([+-]?)0+(?=[0-9])")
 
 
 def _clip(text: str) -> str:
@@ -115,7 +117,8 @@ def load_custom_shape(text: str) -> KernelGeometry:
             continue
         parts = line.split()
         try:
-            r, c = (_Far(p) if _FAR.fullmatch(p) else int(p) for p in parts)
+            r, c = (_Far(p) if _FAR.fullmatch(p) else int(_LEADING_ZEROS.sub(r"\1", p))
+                    for p in parts)
         except ValueError:
             what = "coordinates must be integers" if len(parts) == 2 else "expected 'row col'"
             unparsed = f"line {lineno}: {what}, got {_clip(raw)!r}"

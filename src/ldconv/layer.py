@@ -60,7 +60,9 @@ class OffsetField:
 
 @dataclass
 class LayerCache:
-    """Intermediate values retained by forward for the manual backward pass."""
+    """Intermediate values retained by forward for the manual backward pass,
+    which rebuilds the post stage's activations from sampled and post_cache's
+    per-channel mean and inv_std with the layer's current parameters."""
 
     xp: np.ndarray
     offsets: OffsetField
@@ -267,30 +269,40 @@ class LdconvLayer:
         """Per-channel normalisation over (B, H, W) plus x*sigmoid(x); centres mixed in place."""
         dtype = mixed.dtype
         # np.var's own steps, on the centred mix that xhat then reuses
+        mean = mixed.mean(axis=(0, 2, 3), keepdims=True)
         xhat = mixed
-        xhat -= mixed.mean(axis=(0, 2, 3), keepdims=True)
+        xhat -= mean
         var = np.square(xhat).sum(axis=(0, 2, 3), keepdims=True)
         var /= np.intp(xhat.size // xhat.shape[1])    # np.var divides by an intp count
         inv_std = 1.0 / np.sqrt(var + dtype.type(_NORM_EPS))
         xhat *= inv_std
+        z, sig = self._scale_shift_sigmoid(xhat)
+        z *= sig                           # y, in z's buffer
+        return z.astype(dtype, copy=False), {"mean": mean, "inv_std": inv_std}
+
+    def _scale_shift_sigmoid(self, xhat: np.ndarray):
+        """z = scale*xhat + shift and sigmoid(z), one sequence for both directions."""
         z = self.post_scale[None, :, None, None] * xhat
         z += self.post_shift[None, :, None, None]
         sig = np.negative(z)
         np.exp(sig, out=sig)
         sig += 1.0
         np.divide(1.0, sig, out=sig)
-        y = z * sig
-        cache = {"xhat": xhat, "inv_std": inv_std, "z": z, "sig": sig}
-        return y.astype(dtype, copy=False), cache
+        return z, sig
 
-    def _post_backward(self, cache: dict, upstream: np.ndarray):
-        xhat, inv_std = cache["xhat"], cache["inv_std"]
-        z, sig = cache["z"], cache["sig"]
+    def _post_backward(self, cache: LayerCache, upstream: np.ndarray):
+        inv_std = cache.post_cache["inv_std"]
+        # the forward's own mix and normalisation on the same samples: the same bits
+        xhat = self.aggregate(cache.sampled)
+        xhat -= cache.post_cache["mean"]
+        xhat *= inv_std
+        z, sig = self._scale_shift_sigmoid(xhat)
         dz = 1.0 - sig                     # dz = upstream * sig * (1 + z * (1 - sig))
         dz *= z
         dz += 1.0
         dz *= sig
         dz *= upstream
+        del z, sig
         grad_shift = dz.sum(axis=(0, 2, 3))
         grad_scale = np.einsum("bchw,bchw->c", dz, xhat)
         # dxhat = scale * dz, so its sums are scale times these two
@@ -332,7 +344,8 @@ class LdconvLayer:
 
         With input_grad=False the input gradient is not computed and grads.x
         is None, for a first layer whose input needs none; every parameter
-        gradient is the same either way.
+        gradient is the same either way.  It reads the layer's current
+        parameters, so it runs before they change.
         """
         up = upstream.data if isinstance(upstream, Tensor4) else np.asarray(upstream)
         out_shape = (cache.grid.dims[0], self.c_out) + cache.grid.dims[2:]
@@ -342,7 +355,7 @@ class LdconvLayer:
 
         grad_scale = grad_shift = None
         if self.post == "normalize+activation":
-            up, grad_scale, grad_shift = self._post_backward(cache.post_cache, up)
+            up, grad_scale, grad_shift = self._post_backward(cache, up)
 
         b_n, _, h_out, w_out = up.shape
         cells = h_out * w_out
@@ -409,6 +422,11 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
     return sidecar
 
 
+# Most stride or padding a sidecar may give.  No record's dims hold either, and
+# padding grows every map the layer builds by 2*padding a side.
+MAX_SIDECAR_STRIDE_PADDING = 64
+
+
 def sidecar_int(sidecar: dict, key: str) -> int:
     """sidecar[key], which must be a JSON integer; ValueError naming the key."""
     if isinstance(sidecar[key], bool) or not isinstance(sidecar[key], int):
@@ -433,5 +451,8 @@ def layer_from_sidecar(sidecar: dict) -> LdconvLayer:
                          "no coords, so the kernel geometry cannot be restored")
     n, c_in, c_out, stride, padding = (sidecar_int(sidecar, key) for key in
                                        ("n", "c_in", "c_out", "stride", "padding"))
+    for key, value in (("stride", stride), ("padding", padding)):
+        if value > MAX_SIDECAR_STRIDE_PADDING:
+            raise ValueError(f"sidecar key {key!r} is {value}, above {MAX_SIDECAR_STRIDE_PADDING}")
     return LdconvLayer.create(n, c_in, c_out, stride=stride, padding=padding,
                               post=sidecar["post"], geometry=geometry)

@@ -131,14 +131,18 @@ def bilinear_sample(x: Tensor4, grid: SampleGrid) -> np.ndarray:
     """Sample x at grid coordinates; returns (B, C, N, H_out, W_out)."""
     x_arr = x.data
     raw_r, raw_c, blocks = _blocks(x_arr, grid)
-    sampled = np.empty(x.dims[:2] + raw_r.shape[1:], dtype=x_arr.dtype)    # (B, C, P)
+    sampled = None
     for blk in blocks:
-        _sample_block(x_arr[blk], raw_r[blk], raw_c[blk], sampled[blk])
+        out = _sample_block(x_arr[blk], raw_r[blk], raw_c[blk])
+        if sampled is None:    # once the first block's plan is freed
+            sampled = np.empty(x.dims[:2] + raw_r.shape[1:], dtype=x_arr.dtype)    # (B, C, P)
+        sampled[blk] = out.transpose(0, 2, 1)
+        del out                # before the next block's plan
     return sampled.reshape(x.dims[:2] + grid.dims[1:])
 
 
-def _sample_block(x_arr, raw_r, raw_c, sampled):
-    """One block's samples, written into its (b, C, P) slice."""
+def _sample_block(x_arr, raw_r, raw_c):
+    """One block's samples as (b, P, C)."""
     rows, top_left, steps, t, u = _plan(x_arr, raw_r, raw_c)
     weight = _weights(t, u)
     del t, u
@@ -151,10 +155,7 @@ def _sample_block(x_arr, raw_r, raw_c, sampled):
         np.take(rows[steps[k]:], top_left, axis=0, out=term, mode="clip")
         term *= weight[k][:, :, None]
         out += term
-    # freed before the copy: a plan held across a full-batch copy fragmented
-    # the heap (+8 MB peak RSS)
-    del term, top_left, weight, rows
-    sampled[...] = out.transpose(0, 2, 1)
+    return out
 
 
 def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,

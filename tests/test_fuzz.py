@@ -5,25 +5,30 @@ import contextlib
 import functools
 import io
 import json
+import re
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ldconv.cli import main
 from ldconv.geometry import MAX_COORD
+from ldconv.layer import MAX_SIDECAR_STRIDE_PADDING
 from ldconv.tensor import Rng, rand_uniform, write_tensors
 from ldconv.training import TinyNet, save_net
 
 _COORD = st.one_of(st.integers(0, 6), st.integers(-3, -1),
                    st.sampled_from([MAX_COORD, MAX_COORD + 1, 10**400, -10**400,
-                                    "9" * 5000, "-" + "9" * 5000]))
+                                    "9" * 5000, "-" + "9" * 5000, "0" * 5000 + "5",
+                                    "-" + "0" * 5000 + "5"]))
 _PAIR = st.builds("{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), _COORD,
                   st.sampled_from([" ", "  ", "\t"]), _COORD)
 _JUNK = st.sampled_from(["", "  ", "# note", "#1 2", "5", "1 2 3", "x y", "1.5 2",
                          "--1 0", "1,2", "0 -", "0x1 0"])
 _LINES = st.lists(st.one_of(_PAIR, _PAIR, _JUNK), max_size=8)
+_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _first_bad_line(lines):
@@ -34,10 +39,9 @@ def _first_bad_line(lines):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        try:
-            r, c = int(parts[0]), int(parts[1])
-        except (IndexError, ValueError):
+        if len(parts) < 2 or not all(map(_INT.fullmatch, parts[:2])):
             return lineno, points
+        r, c = (int(Decimal(p)) for p in parts[:2])    # no digit limit, unlike int()
         if len(parts) != 2 or min(r, c) < 0 or max(r, c) > MAX_COORD or (r, c) in points:
             return lineno, points
         points.append((r, c))
@@ -75,7 +79,8 @@ _COORDS = st.sampled_from([5, "x", None, [], [[0, 0]], [[0, 0], [0, 1]], [[-1, 0
                            [[10**400, 0]], [[1.5, 0]], [[True, 0]], [[0]], [[100_000, 0]]])
 _EDIT = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(_INT_SPOTS),
-              st.sampled_from([0, -1, 2, 10**12, True, "5", None, 2.5])),
+              st.sampled_from([0, -1, 2, MAX_SIDECAR_STRIDE_PADDING + 1, 10**5, 10**12,
+                               True, "5", None, 2.5])),
     st.tuples(st.just("del"), st.sampled_from(_KEY_SPOTS)),
     st.tuples(st.just("set"), st.sampled_from([("ld1", "coords"), ("ld2", "coords")]), _COORDS))
 _DAMAGE = st.one_of(st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
@@ -107,6 +112,9 @@ def _edit_sidecar(sidecar, edit):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=st.lists(_EDIT, max_size=3), damage=st.lists(_DAMAGE, max_size=2))
+# an unbounded padding sized the padded probe: MemoryError out of main
+@example(edits=[("set", ("ld1", "padding"), 10**5)], damage=[])
+@example(edits=[("set", ("ld2", "padding"), 10**5)], damage=[])
 def test_analyze_ao_fuzzed_checkpoints(tmp_path, edits, damage):
     blob, sidecar_text, probe = _checkpoint()
     sidecar = json.loads(sidecar_text)

@@ -176,8 +176,12 @@ def test_load_custom_shape_bad_lines():
     (f"0 0\n1 -{'9' * 5000}\n", "line 2: negative coordinate \\(1, -9{39}\\.\\.\\. \\(5001 "),
     (f"x {'1' * 5000}\n", "line 1: coordinates must be integers, got 'x 1{38}\\.\\.\\. "
                         "\\(5002 characters\\)'$"),
+    # leading zeros count against that limit too; the row means (5, 0)
+    (f"5 0\n{'0' * 5000}5 0\n", "line 2: duplicate coordinate \\(5, 0\\)$"),
+    (f"0 0\n1 -{'0' * 5000}5\n", "line 2: negative coordinate \\(1, -5\\)$"),
 ], ids=["above-bound", "minus-401-digits", "duplicate-first", "unparsable-first",
-        "5000-digits", "minus-5000-digits", "echo-capped"])
+        "5000-digits", "minus-5000-digits", "echo-capped", "5000-leading-zeros",
+        "minus-5000-leading-zeros"])
 def test_load_custom_shape_names_the_line_of_every_error(text, message):
     with pytest.raises(ShapeFileError, match=message):
         load_custom_shape(text)

@@ -87,9 +87,10 @@ def layout_deviation(layer, x):
 
 
 # -- the offset windows and the post stage, as oracles --------------------------
-# The nine strided slice copies and the np.var normalisation the layer used
-# before its one-copy windows and in-place post stage, kept unchanged; the
-# layer must match them bit for bit.
+# The nine strided slice copies, the np.var normalisation and the backward
+# formula over cached xhat, z and sig that the layer used before its one-copy
+# windows, in-place post stage and slim post cache, kept unchanged; the layer
+# must match them bit for bit.
 
 
 def windows_by_slices(layer, x, h_out, w_out):
@@ -105,6 +106,7 @@ def windows_by_slices(layer, x, h_out, w_out):
 
 
 def post_forward_by_np_var(layer, mixed):
+    """y, the cache {mean, inv_std}, and the activations xhat, z and sig."""
     dtype = mixed.dtype
     mean = mixed.mean(axis=(0, 2, 3), keepdims=True)
     var = mixed.var(axis=(0, 2, 3), keepdims=True)
@@ -113,24 +115,43 @@ def post_forward_by_np_var(layer, mixed):
     z = layer.post_scale[None, :, None, None] * xhat + layer.post_shift[None, :, None, None]
     sig = 1.0 / (1.0 + np.exp(-z))
     y = z * sig
-    cache = {"xhat": xhat, "inv_std": inv_std, "z": z, "sig": sig}
-    return y.astype(dtype, copy=False), cache
+    return y.astype(dtype, copy=False), {"mean": mean, "inv_std": inv_std}, (xhat, z, sig)
+
+
+def post_backward_from_activations(layer, xhat, inv_std, z, sig, upstream):
+    dz = 1.0 - sig                     # dz = upstream * sig * (1 + z * (1 - sig))
+    dz *= z
+    dz += 1.0
+    dz *= sig
+    dz *= upstream
+    grad_shift = dz.sum(axis=(0, 2, 3))
+    grad_scale = np.einsum("bchw,bchw->c", dz, xhat)
+    m = dz.shape[0] * dz.shape[2] * dz.shape[3]
+    dz -= grad_shift[None, :, None, None] / m
+    dz -= xhat * (grad_scale[None, :, None, None] / m)
+    dz *= layer.post_scale[None, :, None, None] * inv_std
+    return dz.astype(upstream.dtype, copy=False), grad_scale, grad_shift
 
 
 def _same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("padding", [0, 1, 2])
-@pytest.mark.parametrize("stride", [1, 2, 3])
-def test_windows_and_post_stage_match_their_oracles_bitwise(stride, padding, dtype):
+def _post_case(stride, padding, dtype):
+    """A randomised post-stage layer, its input and its rng."""
     rng = Rng(stride * 10 + padding)
     layer = _randomized(LdconvLayer.create(5, 3, 4, stride=stride, padding=padding,
                                            post="normalize+activation", rng=rng, dtype=dtype), rng)
     layer.post_scale = rng.stream("scale").uniform(0.5, 1.5, size=4).astype(dtype)
     layer.post_shift = rng.stream("shift").uniform(-0.5, 0.5, size=4).astype(dtype)
-    x = rand_uniform((2, 3, 9, 8), rng, lo=-1.0, hi=1.0, dtype=dtype)
+    return layer, rand_uniform((2, 3, 9, 8), rng, lo=-1.0, hi=1.0, dtype=dtype), rng
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_windows_and_post_stage_match_their_oracles_bitwise(stride, padding, dtype):
+    layer, x, rng = _post_case(stride, padding, dtype)
     h_out, w_out = (9 + 2 * padding - 1) // stride + 1, (8 + 2 * padding - 1) // stride + 1
     assert _same_bits(layer._windows(x.data, h_out, w_out),
                       windows_by_slices(layer, x.data, h_out, w_out))
@@ -139,11 +160,28 @@ def test_windows_and_post_stage_match_their_oracles_bitwise(stride, padding, dty
     mixed = layer.aggregate(cache.sampled)
     mixed += rng.stream("bias").uniform(-2, 2, size=(1, 4, 1, 1)).astype(dtype)
     y, post_cache = layer._post_forward(mixed.copy())   # it centres its argument in place
-    y_ref, ref_cache = post_forward_by_np_var(layer, mixed)
+    y_ref, ref_cache, _ = post_forward_by_np_var(layer, mixed)
     assert _same_bits(y, y_ref)
-    assert post_cache.keys() == ref_cache.keys()
+    assert post_cache.keys() == ref_cache.keys() == {"mean", "inv_std"}
     for name, arr in ref_cache.items():
         assert _same_bits(post_cache[name], arr), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_post_backward_from_the_slim_cache_matches_the_activation_formula_bitwise(
+        stride, padding, dtype):
+    # backward rebuilds xhat, z and sig from the samples, the mean and inv_std
+    layer, x, rng = _post_case(stride, padding, dtype)
+    y, cache = layer.forward(x)
+    up = rng.stream("up").uniform(-1, 1, size=y.dims).astype(dtype)
+    _, ref_cache, (xhat, z, sig) = post_forward_by_np_var(layer, layer.aggregate(cache.sampled))
+    want = post_backward_from_activations(layer, xhat, ref_cache["inv_std"], z, sig, up)
+    got = layer._post_backward(cache, up)
+    assert len(got) == len(want)
+    for name, g, w in zip(("input", "scale", "shift"), got, want):
+        assert _same_bits(g, w), name
 
 
 # -- offsets and grid -----------------------------------------------------------

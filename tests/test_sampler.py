@@ -392,6 +392,25 @@ def test_sample_peak_memory_at_the_first_layer_shape():
     assert peak <= 12 * 2**20
 
 
+def test_one_block_sample_allocates_its_output_after_the_plan():
+    # ld2's batch-32 call is one block: its (B, C, P) output, 245 KiB, is
+    # allocated once the block's plan and weights are freed, not alongside
+    # them (1.15 MiB traced when it was)
+    gen = np.random.default_rng(0)
+    x = Tensor4(gen.uniform(-1, 1, size=(32, 8, 14, 14)).astype(np.float32))
+    shape = (32, 5, 7, 7)
+    grid = SampleGrid(gen.uniform(-1, 14, size=shape).astype(np.float32),
+                      gen.uniform(-1, 14, size=shape).astype(np.float32))
+    bilinear_sample(x, grid)
+    tracemalloc.start()
+    try:
+        bilinear_sample(x, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def test_backward_peak_memory_at_the_stress_shape():
     # the four corners are gathered one at a time into one (B, P, C) buffer;
     # a stacked (4, B, P, C) gather alone would be 18 MiB here

@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts at a tiny size."""
 
 import importlib.util
+import json
+import time
 from pathlib import Path
 
 from ldconv.training import load_net
@@ -104,3 +106,50 @@ def test_ab_bench_keeps_failed_checks_and_the_stderr_of_a_failed_run(tmp_path):
     assert record["failed_checks"] == ["float32_outputs"]
     assert record["stderr_tail"] == ["ok   stress_layer shapes: fine",
                                      "FAIL stress_layer float32_outputs: err 1e-2"]
+
+
+_TINY = {"train_batch": 4, "eval_batch": 8, "stress_dims": (1, 2, 8, 8)}
+
+
+def test_ab_steps_reads_head_against_head_near_one(tmp_path):
+    ab_steps = _script("ab_steps")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    sides = {"base": ab_steps.steps(ab_steps.extract_base("HEAD", tmp_path / "a"), **_TINY),
+             "change": ab_steps.steps(ab_steps.extract_base("HEAD", tmp_path / "b",
+                                                            name="ldconv_head"), **_TINY)}
+    result = ab_steps.compare(sides, pairs=40, warmup=3)
+    assert list(result) == ["train_step", "eval_forward", "stress_layer"]
+    for name, row in result.items():
+        assert len(row["ratios"]) == 40 and row["ratio"]["n"] == 40
+        assert 0.8 <= row["ratio"]["median"] <= 1.25, (name, row["ratio"])
+
+
+def test_ab_steps_reads_a_slowed_change_above_one_and_a_half():
+    ab_steps = _script("ab_steps")
+
+    def slowed(step):
+        def run():
+            time.sleep(0.002)
+            step()
+        return run
+
+    change = {name: slowed(step) for name, step in ab_steps.steps(ab_steps.ldconv, **_TINY).items()}
+    result = ab_steps.compare({"base": ab_steps.steps(ab_steps.ldconv, **_TINY), "change": change},
+                              pairs=10, warmup=1)
+    for name, row in result.items():
+        assert row["ratio"]["median"] > 1.5, (name, row["ratio"])
+
+
+def test_ab_steps_writes_ratios_spread_and_env(tmp_path, monkeypatch, capsys):
+    ab_steps = _script("ab_steps")
+    monkeypatch.setattr(ab_steps, "FULL", _TINY)
+    out = tmp_path / "steps.json"
+    assert ab_steps.main(["--base", "HEAD", "--slug", "t", "--pairs", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["base"] == "HEAD" and report["pairs"] == 3
+    assert set(report["env"]) == {"numpy", "blas", "blas_threads", "python"}
+    assert list(report["steps"]) == ["train_step", "eval_forward", "stress_layer"]
+    for row in report["steps"].values():
+        assert len(row["ratios"]) == 3 and set(row["ratio"]) == {"n", "median", "q1", "q3"}
+    assert capsys.readouterr().out.splitlines()[-1] == str(out)

@@ -328,6 +328,23 @@ def test_evaluate_peak_memory_is_one_forward():
     assert traced_peak(lambda: evaluate(net, data, batch=64)) <= 1.15 * one
 
 
+def test_eval_forward_peak_memory_keeps_no_post_activations():
+    # ld1's cache lives through ld2's forward; its post stage keeps two
+    # per-channel vectors, not xhat, z and sig (1.53 MiB each at batch 256,
+    # which took the traced peak to 17.7 MiB)
+    rng = Rng(1)
+    net = TinyNet.create(rng=rng)
+    images = synthetic_bars(256, rng, stream="synthetic-eval").images
+    net.forward(images)
+    tracemalloc.start()
+    try:
+        net.forward(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.5 * 2**20
+
+
 def test_evaluate_rejects_empty():
     net = _net(TrainConfig())
     with pytest.raises(ValueError, match="empty"):

@@ -80,6 +80,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def extract(rev: str, dest: Path, *paths: str) -> None:
+    """REV's tree, or only its paths, written under dest (git archive | tar -x)."""
+    archive = subprocess.run(["git", "archive", rev, *paths], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run in tree: exit code, metric values, env line and the
     names of failed checks; a run that exits non-zero or prints no result
@@ -138,9 +145,7 @@ def main(argv=None) -> int:
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        extract(args.base, Path(tmp))
         trees = {"base": Path(tmp), "change": ROOT}
         for pair in range(args.pairs):
             for workload in args.workload:

@@ -12,7 +12,8 @@ so both sides see the same host load:
 
 Per step, BENCH_<slug>_steps.json holds every pair's ratio, change seconds
 over base seconds (above 1: the change is slower), their median and
-quartiles, each side's median ms, and the numpy/BLAS line.
+quartiles, each side's median ms, and perfbench's environment line.
+BLAS runs one thread, pinned as perfbench pins it.
 
 One process cannot compare what the two packages share or what only a fresh
 process shows: the glibc heap thresholds and the BLAS thread count, which
@@ -25,11 +26,9 @@ scripts/ab_bench.py compares those, one process per run.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import importlib.util
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -37,16 +36,19 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import worker  # noqa: E402  (before numpy: pins BLAS to one thread, as perfbench runs)
 import ldconv  # noqa: E402
 import numpy as np  # noqa: E402
 
-from ab_bench import spread  # noqa: E402
+from ab_bench import extract, spread  # noqa: E402
 
 SIDES = ("base", "change")
 FULL = {"train_batch": 32, "eval_batch": 256, "stress_dims": (8, 16, 32, 32)}
 WARMUP = 10    # untimed pairs per step, run before its timed ones
+PAIRS = 300    # timed pairs per step
 
 
 def import_package(pkg_dir: Path, name: str):
@@ -63,9 +65,7 @@ def import_package(pkg_dir: Path, name: str):
 
 def extract_base(rev: str, dest: Path, name: str = "ldconv_base"):
     """REV's src/ldconv, extracted under dest and imported as name."""
-    archive = subprocess.run(["git", "archive", rev, "src/ldconv"], cwd=ROOT,
-                             capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    extract(rev, dest, "src/ldconv")
     return import_package(dest / "src" / "ldconv", name)
 
 
@@ -130,42 +130,18 @@ def compare(sides: dict[str, dict], pairs: int, warmup: int) -> dict:
     return out
 
 
-def environment() -> dict:
-    """numpy's version and the loaded OpenBLAS's build line and thread count,
-    read from the library as perfbench reads them."""
-    env = {"numpy": np.__version__, "blas": None, "blas_threads": None,
-           "python": sys.version.split()[0]}
-    with open("/proc/self/maps") as fh:
-        paths = sorted({line.split()[-1] for line in fh
-                        if "openblas" in line.lower() and ".so" in line})
-    for lib in map(ctypes.CDLL, paths):
-        names = [(p, s) for p in ("scipy_openblas", "openblas") for s in ("64_", "")
-                 if hasattr(lib, f"{p}_get_num_threads{s}")]
-        for prefix, suffix in names[:1]:
-            threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-            config = getattr(lib, f"{prefix}_get_config{suffix}")
-            threads.restype, config.restype = ctypes.c_int, ctypes.c_char_p
-            env["blas_threads"], env["blas"] = int(threads()), config().decode()
-    return env
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--slug", required=True, help="output name: BENCH_<slug>_steps.json")
-    ap.add_argument("--pairs", type=int, default=300)
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output path (default: BENCH_<slug>_steps.json in the repository root)")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
     with tempfile.TemporaryDirectory(prefix="ab_steps_") as tmp:
         base = extract_base(args.base, Path(tmp))
         result = compare({"base": steps(base, **FULL), "change": steps(ldconv, **FULL)},
-                         args.pairs, WARMUP)
-    report = {"base": args.base, "pairs": args.pairs, "warmup": WARMUP,
-              "env": environment(), "steps": result}
-    out_path = args.out or ROOT / f"BENCH_{args.slug}_steps.json"
+                         PAIRS, WARMUP)
+    report = {"base": args.base, "pairs": PAIRS, "warmup": WARMUP,
+              "env": worker.environment(), "steps": result}
+    out_path = ROOT / f"BENCH_{args.slug}_steps.json"
     out_path.write_text(json.dumps(report, indent=1) + "\n")
     for name, row in result.items():
         ratio = row["ratio"]

@@ -4,11 +4,12 @@
 Extracts REV into a temporary directory (git archive | tar -x) and runs
 `python3 perfbench/run.py --trace 0` alternately there and in the working
 tree, PAIRS pairs per workload and seed; odd pairs run the working tree
-first, and each pair goes once round every workload and seed.  After every
-run it rewrites BENCH_<slug>.json: every run's metrics and exit code, and
-per workload and seed each side's median and quartiles and, per metric, the
-pairs the change won and lost (ties count for neither; the better direction
-comes from BENCHMARK.json).
+first, and each pair goes once round every workload and seed.  Every run
+lasts BENCHMARK.json's run_seconds.  After every run it rewrites
+BENCH_<slug>.json in the repository root: every run's metrics and exit code,
+and per workload and seed each side's median and quartiles and, per metric,
+the pairs the change won and lost (ties count for neither; the better
+direction comes from BENCHMARK.json).
 
     python3 scripts/ab_bench.py --base HEAD --slug sampler_blocks \\
         --workload stress_layer --workload infer_eval --seed 1 --seed 7 --pairs 10
@@ -110,12 +111,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
-def write_report(path: Path, args, runs: list[dict], better: dict[str, str]) -> None:
+def write_report(path: Path, args, seconds: float, runs: list[dict],
+                 better: dict[str, str]) -> None:
     envs = [run["env"] for run in runs if run["env"]]
     report = {
         "base": args.base,
-        "command": ["python3", "perfbench/run.py", "--seconds", str(args.seconds),
-                    "--trace", "0"],
+        "command": ["python3", "perfbench/run.py", "--seconds", str(seconds), "--trace", "0"],
         "pairs": args.pairs,
         "env": envs[0] if envs else None,
         "summary": summarize(runs, better),
@@ -134,14 +135,12 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, action="append", required=True,
                     help="workload seed; repeat for several")
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output path (default: BENCH_<slug>.json in the repository root)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     better = {metric["name"]: metric["better"] for metric in bench["end_to_end"]}
-    out_path = args.out or ROOT / f"BENCH_{args.slug}.json"
+    seconds = bench["run_seconds"]
+    out_path = ROOT / f"BENCH_{args.slug}.json"
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
@@ -151,12 +150,12 @@ def main(argv=None) -> int:
             for workload in args.workload:
                 for seed in args.seed:
                     for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                        record = run_once(trees[side], workload, seed, args.seconds)
+                        record = run_once(trees[side], workload, seed, seconds)
                         runs.append({"workload": workload, "seed": seed, "pair": pair,
                                      "side": side, **record})
                         print(f"{workload} seed {seed} pair {pair} {side}: exit "
                               f"{record['exit']} {record['metrics']}", file=sys.stderr)
-                        write_report(out_path, args, runs, better)
+                        write_report(out_path, args, seconds, runs, better)
     print(out_path)
     return 0 if all(run["exit"] == 0 for run in runs) else 1
 

@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         cfg = TrainConfig(n1=n, n2=n, epochs=args.epochs, seed=args.seed,
                           subset=args.subset)
         net = TinyNet.create(n1=n, n2=n, post=cfg.post, rng=Rng(cfg.seed),
-                             geometry1=geometry, geometry2=geometry)
+                             geometry=geometry)
         result = train(net, data, cfg)
         path = out_dir / f"{name}.ldt"
         save_net(net, path, config=cfg)

@@ -139,7 +139,7 @@ def shape_ao_compare(checkpoint_paths,
     reference = None
     for path in checkpoint_paths:
         net, _ = load_net(path)
-        signature = [(ld.n, ld.c_in, ld.c_out, ld.stride, ld.padding) for ld in (net.ld1, net.ld2)]
+        signature = [(ld.n, ld.c_in, ld.c_out, ld.stride) for ld in (net.ld1, net.ld2)]
         if reference is None:
             reference = signature
         elif signature != reference:

@@ -136,27 +136,20 @@ def load_custom_shape(text: str) -> KernelGeometry:
 
 @dataclass(frozen=True)
 class BaseGrid:
-    """Extent of the stride-spaced anchor grid (i*stride, j*stride) on the padded map."""
+    """Extent of the stride-spaced anchor grid (i*stride, j*stride) on the input."""
 
     h_out: int
     w_out: int
 
 
-def base_grid(h_in: int, w_in: int, stride: int = 1, pad: int = 0) -> BaseGrid:
-    """Output extent of the anchor grid for an input of h_in x w_in after padding.
+def base_grid(h_in: int, w_in: int, stride: int = 1) -> BaseGrid:
+    """Output extent of the anchor grid for an input of h_in x w_in.
 
-    h_out = floor((h_in + 2*pad - 1) / stride) + 1; a position's sampled
-    footprint may extend past the padded map, which the sampler's boundary
-    clamp absorbs.
+    h_out = floor((h_in - 1) / stride) + 1; a position's sampled footprint may
+    extend past the map, which the sampler's boundary clamp absorbs.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
     if h_in < 1 or w_in < 1:
         raise ValueError(f"input extent must be positive, got {h_in}x{w_in}")
-    h_out = (h_in + 2 * pad - 1) // stride + 1
-    w_out = (w_in + 2 * pad - 1) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise ValueError(f"degenerate grid: {h_out}x{w_out}")
-    return BaseGrid(h_out=h_out, w_out=w_out)
+    return BaseGrid(h_out=(h_in - 1) // stride + 1, w_out=(w_in - 1) // stride + 1)

@@ -118,13 +118,13 @@ def off_lattice_offsets(layer: LdconvLayer, gen: np.random.Generator) -> None:
                                  size=layer.offset_w.shape).astype(layer.dtype)
 
 
-def _layer_fixture(dims, n: int, seed: int, dtype, post: str, stride: int, padding: int):
+def _layer_fixture(dims, n: int, seed: int, dtype, post: str, stride: int):
     """Layer with off-lattice offsets, an input in [0, 1) and an upstream."""
     rng = Rng(seed)
     b_n, c_in, h_in, w_in = dims
     c_out = 4
-    layer = LdconvLayer.create(n, c_in, c_out, stride=stride, padding=padding,
-                               post=post, rng=rng, dtype=dtype, name="gradcheck")
+    layer = LdconvLayer.create(n, c_in, c_out, stride=stride, post=post, rng=rng,
+                               dtype=dtype, name="gradcheck")
     gen = rng.stream("layer/fixture")
     off_lattice_offsets(layer, gen)
     if layer.agg_b is not None:
@@ -137,15 +137,14 @@ def _layer_fixture(dims, n: int, seed: int, dtype, post: str, stride: int, paddi
 
 def check_layer_gradients(dims=(2, 3, 6, 6), n: int = 5, seed: int = 0,
                           eps: float | None = None, dtype=np.float64, post: str = "none",
-                          stride: int = 1, padding: int = 0,
-                          sabotage: bool = False) -> list[GradCheckResult]:
+                          stride: int = 1, sabotage: bool = False) -> list[GradCheckResult]:
     """Finite-difference suite for the layer's input and parameter gradients.
 
     With sabotage=True the analytic offset-weight gradient is deliberately
     corrupted; the suite must then report a failure (negative control).
     """
     dtype = np.dtype(dtype)
-    layer, x_arr, upstream = _layer_fixture(dims, n, seed, dtype, post, stride, padding)
+    layer, x_arr, upstream = _layer_fixture(dims, n, seed, dtype, post, stride)
 
     def loss():
         y, _ = layer.forward(Tensor4(x_arr))

@@ -1,12 +1,12 @@
 """Deformable convolution layer with arbitrary kernel size.
 
-Pipeline per forward call: zero-pad the input by the layer padding, predict a
-per-position offset field with a small 3x3 convolution (zero-initialised so
-training starts from the undeformed kernel), add the offsets to the initial
-kernel coordinates anchored at each strided output position, bilinearly sample
-the padded input there, and mix the n sampled maps into the output channels
-with weights stored canonically as (c_out, c_in, n).  Parameters and compute
-therefore grow linearly in n instead of quadratically in a side length.
+Pipeline per forward call: predict a per-position offset field with a small
+3x3 convolution (zero-initialised so training starts from the undeformed
+kernel), add the offsets to the initial kernel coordinates anchored at each
+strided output position, bilinearly sample the input there, and mix the n
+sampled maps into the output channels with weights stored canonically as
+(c_out, c_in, n).  Parameters and compute therefore grow linearly in n instead
+of quadratically in a side length.  A padded layer is tensor.pad2d ahead of it.
 
 Both linear maps are one GEMM each.  The offset conv multiplies the flattened
 3x3 weights with a channel-major window matrix of the input; the channel mix
@@ -64,7 +64,7 @@ class LayerCache:
     which rebuilds the post stage's activations from sampled and post_cache's
     per-channel mean and inv_std with the layer's current parameters."""
 
-    xp: np.ndarray
+    x: Tensor4
     offsets: OffsetField
     grid: SampleGrid
     sampled: np.ndarray
@@ -90,7 +90,6 @@ class LdconvLayer:
     c_in: int
     c_out: int
     stride: int
-    padding: int
     geometry: KernelGeometry
     offset_w: np.ndarray          # (2n, c_in, 3, 3)
     offset_b: np.ndarray          # (2n,)
@@ -110,8 +109,6 @@ class LdconvLayer:
             raise ValueError("channel counts must be >= 1")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise ValueError(f"padding must be >= 0, got {self.padding}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, options: {STRATEGIES}")
         if self.post not in POST_MODES:
@@ -135,8 +132,7 @@ class LdconvLayer:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def create(cls, n: int, c_in: int, c_out: int, *, stride: int = 1,
-               padding: int = 0, post: str = "none",
+    def create(cls, n: int, c_in: int, c_out: int, *, stride: int = 1, post: str = "none",
                geometry: KernelGeometry | None = None, rng: Rng | None = None,
                dtype=np.float32, name: str = "ldconv") -> "LdconvLayer":
         """Build a layer with zero offsets and fan-in-scaled mixing weights.
@@ -156,8 +152,7 @@ class LdconvLayer:
                                                     size=(c_out, c_in, n)).astype(dtype)
         with_post = post == "normalize+activation"
         return cls(
-            n=n, c_in=c_in, c_out=c_out, stride=stride, padding=padding,
-            geometry=geometry,
+            n=n, c_in=c_in, c_out=c_out, stride=stride, geometry=geometry,
             offset_w=np.zeros((2 * n, c_in, 3, 3), dtype=dtype),
             offset_b=np.zeros(2 * n, dtype=dtype),
             agg_w=agg_w,
@@ -201,7 +196,7 @@ class LdconvLayer:
         sampling:     8 * c_in * n * h_out * w_out   (4 products + 4 adds each)
         channel mix:  c_out * c_in * n * h_out * w_out
         """
-        grid = base_grid(h_in, w_in, stride=self.stride, pad=self.padding)
+        grid = base_grid(h_in, w_in, stride=self.stride)
         cells = grid.h_out * grid.w_out
         offset_macs = 2 * self.n * self.c_in * 9 * cells
         sample_ops = 8 * self.c_in * self.n * cells
@@ -213,14 +208,14 @@ class LdconvLayer:
     def _windows(self, x: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
         """Window matrix (B, c_in*9, h_out*w_out) of the 3x3 offset conv.
 
-        The conv runs over the layer-padded input with its own padding of 1,
-        so x is zero-padded by padding + 1 in one go.  Row c*9 + kh*3 + kw is
-        channel c at tap (kh, kw), matching offset_w.reshape(2n, c_in*9).  One
-        copy of a strided window view, it holds nine copies of the input, so
-        callers free it right after its GEMM rather than cache it.
+        The conv zero-pads x by 1, so before the stride it has one output per
+        input position.  Row c*9 + kh*3 + kw is channel c at tap (kh, kw),
+        matching offset_w.reshape(2n, c_in*9).  One copy of a strided window
+        view, it holds nine copies of the input, so callers free it right after
+        its GEMM rather than cache it.
         """
         s = self.stride
-        taps = sliding_window_view(pad2d(x, self.padding + 1), (3, 3), axis=(2, 3))
+        taps = sliding_window_view(pad2d(x, 1), (3, 3), axis=(2, 3))
         taps = taps[:, :, ::s, ::s][:, :, :h_out, :w_out].transpose(0, 1, 4, 5, 2, 3)
         return np.ascontiguousarray(taps).reshape(x.shape[0], -1, h_out * w_out)
 
@@ -229,7 +224,7 @@ class LdconvLayer:
         the window matrix, without sampling or mixing."""
         self._check_input(x)
         b_n, _, h_in, w_in = x.dims
-        out = base_grid(h_in, w_in, stride=self.stride, pad=self.padding)
+        out = base_grid(h_in, w_in, stride=self.stride)
         field = self.offset_w.reshape(2 * self.n, -1) @ self._windows(x.data, out.h_out, out.w_out)
         field += self.offset_b[:, None]
         field = field.reshape(b_n, 2 * self.n, out.h_out, out.w_out).astype(x.dtype, copy=False)
@@ -325,14 +320,12 @@ class LdconvLayer:
     def forward(self, x: Tensor4) -> tuple[Tensor4, LayerCache]:
         offsets = self.offsets(x)
         grid = self.assemble_grid(offsets)
-        xp = pad2d(x.data, self.padding)
-        xp_t = _owned(xp) if self.padding else x
-        sampled = bilinear_sample(xp_t, grid)
+        sampled = bilinear_sample(x, grid)
         y = self.aggregate(sampled)
         post_cache = None
         if self.post == "normalize+activation":
             y, post_cache = self._post_forward(y)
-        cache = LayerCache(xp=xp_t.data, offsets=offsets, grid=grid,
+        cache = LayerCache(x=x, offsets=offsets, grid=grid,
                            sampled=sampled, post_cache=post_cache)
         return _owned(y), cache
 
@@ -370,9 +363,8 @@ class LdconvLayer:
         grad_sampled = (w_mix.T @ up3).reshape(cache.sampled.shape).astype(self.dtype, copy=False)
 
         # bilinear sampling
-        xp_t = Tensor4(cache.xp)
-        grad_xp_t, grad_rows, grad_cols = bilinear_backward(xp_t, cache.grid, grad_sampled,
-                                                            input_grad=input_grad)
+        grad_x, grad_rows, grad_cols = bilinear_backward(cache.x, cache.grid, grad_sampled,
+                                                         input_grad=input_grad)
         del grad_sampled              # as large as the samples; freed before the windows
 
         # grid -> offset field (anchors and initial coordinates are constant)
@@ -380,27 +372,23 @@ class LdconvLayer:
 
         # offset conv: weight gradient against rebuilt windows, then the input
         # gradient as one GEMM plus nine strided adds (col2im)
-        p = self.padding
-        h_pad, w_pad = cache.xp.shape[2:]
-        x = cache.xp[:, :, p:h_pad - p, p:w_pad - p]   # the input without the layer padding
-        windows_t = self._windows(x, h_out, w_out).transpose(0, 2, 1)
+        windows_t = self._windows(cache.x.data, h_out, w_out).transpose(0, 2, 1)
         grad_offset_w = (grad_field @ windows_t).sum(axis=0) \
             .reshape(self.offset_w.shape).astype(self.dtype, copy=False)
         del windows_t
         grad_offset_b = grad_field.sum(axis=(0, 2))
 
-        grad_x = None
         if input_grad:
             w_off = self.offset_w.reshape(2 * self.n, -1)
             grad_windows = (w_off.T @ grad_field).reshape(b_n, self.c_in, 3, 3, h_out, w_out)
-            grad_xpp = np.zeros((b_n, self.c_in, h_pad + 2, w_pad + 2), dtype=grad_xp_t.dtype)
+            h_in, w_in = cache.x.dims[2:]
+            grad_xpp = np.zeros((b_n, self.c_in, h_in + 2, w_in + 2), dtype=grad_x.dtype)
             s = self.stride
             for kh in range(3):
                 for kw in range(3):
                     grad_xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
                              kw:kw + (w_out - 1) * s + 1:s] += grad_windows[:, :, kh, kw]
-            grad_xp = grad_xp_t.data + grad_xpp[:, :, 1:-1, 1:-1]
-            grad_x = _owned(np.ascontiguousarray(grad_xp[:, :, p:h_pad - p, p:w_pad - p]))
+            grad_x = _owned(grad_x.data + grad_xpp[:, :, 1:-1, 1:-1])
         return LayerGrads(x=grad_x, offset_w=grad_offset_w, offset_b=grad_offset_b,
                           agg_w=grad_agg_w, agg_b=grad_agg_b,
                           post_scale=grad_scale, post_shift=grad_shift)
@@ -414,7 +402,7 @@ class LdconvLayer:
 def layer_sidecar(layer: LdconvLayer) -> dict:
     sidecar = {
         "n": layer.n, "c_in": layer.c_in, "c_out": layer.c_out,
-        "stride": layer.stride, "padding": layer.padding, "post": layer.post,
+        "stride": layer.stride, "padding": 0, "post": layer.post,
     }
     if layer.geometry != gen_initial_coords(layer.n):
         # the points themselves, so loading needs no file and no working directory
@@ -422,9 +410,8 @@ def layer_sidecar(layer: LdconvLayer) -> dict:
     return sidecar
 
 
-# Most stride or padding a sidecar may give.  No record's dims hold either, and
-# padding grows every map the layer builds by 2*padding a side.
-MAX_SIDECAR_STRIDE_PADDING = 64
+# Most stride a sidecar may give.  No record's dims hold it.
+MAX_SIDECAR_STRIDE = 64
 
 
 def sidecar_int(sidecar: dict, key: str) -> int:
@@ -451,8 +438,8 @@ def layer_from_sidecar(sidecar: dict) -> LdconvLayer:
                          "no coords, so the kernel geometry cannot be restored")
     n, c_in, c_out, stride, padding = (sidecar_int(sidecar, key) for key in
                                        ("n", "c_in", "c_out", "stride", "padding"))
-    for key, value in (("stride", stride), ("padding", padding)):
-        if value > MAX_SIDECAR_STRIDE_PADDING:
-            raise ValueError(f"sidecar key {key!r} is {value}, above {MAX_SIDECAR_STRIDE_PADDING}")
-    return LdconvLayer.create(n, c_in, c_out, stride=stride, padding=padding,
-                              post=sidecar["post"], geometry=geometry)
+    if stride > MAX_SIDECAR_STRIDE:
+        raise ValueError(f"sidecar key 'stride' is {stride}, above {MAX_SIDECAR_STRIDE}")
+    if padding != 0:   # the layer has no padding; the format keeps the key at 0
+        raise ValueError(f"sidecar key 'padding' is {padding}, not 0")
+    return LdconvLayer.create(n, c_in, c_out, stride=stride, post=sidecar["post"], geometry=geometry)

@@ -206,11 +206,12 @@ def read_tensors(path) -> dict[str, Tensor4]:
         if offset + name_len + 4 > len(blob):
             raise ValueError("truncated container: incomplete record name")
         name = blob[offset:offset + name_len].decode("utf-8")
+        shown = repr(name[:40]) + ("..." if len(name) > 40 else "")   # errors stay short
         offset += name_len
         (rank,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         if rank != 4:
-            raise ValueError(f"record {name!r} has rank {rank}, expected 4")
+            raise ValueError(f"record {shown} has rank {rank}, expected 4")
         if offset + 16 > len(blob):
             raise ValueError("truncated container: incomplete dims")
         dims = struct.unpack_from("<4I", blob, offset)
@@ -218,7 +219,7 @@ def read_tensors(path) -> dict[str, Tensor4]:
         count = int(np.prod(dims, dtype=np.int64))
         nbytes = count * 4
         if offset + nbytes > len(blob):
-            raise ValueError(f"truncated container: record {name!r} payload")
+            raise ValueError(f"truncated container: record {shown} payload")
         data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         offset += nbytes
         out[name] = _owned(data.astype(np.float32).reshape(dims))

@@ -135,13 +135,13 @@ class TinyNet:
 
     @classmethod
     def create(cls, n1: int = 5, n2: int = 5, post: str = "normalize+activation",
-               rng: Rng | None = None, geometry1=None, geometry2=None) -> "TinyNet":
-        """A float32 net; a float64 one is cast layer by layer with astype."""
+               rng: Rng | None = None, geometry=None) -> "TinyNet":
+        """A float32 net, geometry (if given) both layers' initial shape; astype casts it."""
         rng = rng if rng is not None else Rng(0)
         ld1 = LdconvLayer.create(n1, 1, 8, stride=2, post=post, rng=rng, name="ld1",
-                                 geometry=geometry1)
+                                 geometry=geometry)
         ld2 = LdconvLayer.create(n2, 8, 16, stride=2, post=post, rng=rng, name="ld2",
-                                 geometry=geometry2)
+                                 geometry=geometry)
         bound = float(np.sqrt(1.0 / 16))
         fc_w = rng.stream("fc/w").uniform(-bound, bound,
                                           size=(NUM_CLASSES, 16)).astype(np.float32)

@@ -24,7 +24,7 @@ from ldconv.analysis import average_offset, growth_audit
 from ldconv.geometry import gen_initial_coords
 from ldconv.gradcheck import check_layer_gradients, fd_check, off_lattice_offsets
 from ldconv.layer import LdconvLayer, OffsetField
-from ldconv.tensor import Rng, Tensor4, conv2d_reference, rand_uniform
+from ldconv.tensor import Rng, Tensor4, conv2d_reference, pad2d, rand_uniform
 from ldconv.training import (NUM_CLASSES, TinyNet, TrainConfig, softmax_cross_entropy,
                              synthetic_bars, train)
 
@@ -93,10 +93,9 @@ def test_criterion_3_standard_conv_equivalence():
             c_in = int(case_gen.integers(1, 5))
             c_out = int(case_gen.integers(1, 5))
             seed = int(case_gen.integers(0, 2**31))
-            layer = LdconvLayer.create(k * k, c_in, c_out, stride=stride,
-                                       padding=pad, rng=Rng(seed))
+            layer = LdconvLayer.create(k * k, c_in, c_out, stride=stride, rng=Rng(seed))
             x = rand_uniform((2, c_in, 7, 7), Rng(seed), stream="x")
-            y = layer.forward(x)[0].data
+            y = layer.forward(Tensor4(pad2d(x.data, pad)))[0].data
             w = layer.agg_w.reshape(c_out, c_in, k, k)
             ref = conv2d_reference(x, w, bias=layer.agg_b, stride=stride,
                                    pad=pad).data

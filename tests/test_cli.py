@@ -432,15 +432,17 @@ def _without(mapping, key):
     (lambda s: {**s, "ld1": {**s["ld1"], "coords": [[1.5, 0], [0, 0]]}}, COORDS_MESSAGE),
     (lambda s: {**s, "ld1": {**s["ld1"], "coords": [[True, 0], [0, 0]]}}, COORDS_MESSAGE),
     (lambda s: {**s, "ld1": {**s["ld1"], "coords": []}}, COORDS_MESSAGE),
-    # no record holds them; ld1 padding 1000 took 9.4 s and 257 MiB on a 6x6 probe
-    (lambda s: {**s, "ld1": {**s["ld1"], "padding": 65}}, "sidecar key 'padding' is 65, above 64"),
+    # the layer has no padding, so the format's padding is always 0
+    (lambda s: {**s, "ld1": {**s["ld1"], "padding": 1}}, "sidecar key 'padding' is 1, not 0"),
+    (lambda s: {**s, "ld1": {**s["ld1"], "padding": 65}}, "sidecar key 'padding' is 65, not 0"),
     (lambda s: {**s, "ld2": {**s["ld2"], "padding": 10**6}},
-     "sidecar key 'padding' is 1000000, above 64"),
+     "sidecar key 'padding' is 1000000, not 0"),
+    # no record holds it
     (lambda s: {**s, "ld2": {**s["ld2"], "stride": 10**6}},
      "sidecar key 'stride' is 1000000, above 64"),
 ], ids=["no-ld2-stride", "no-classes", "not-an-object", "ld1-not-an-object", "null-n",
-        "int-coords", "float-coords", "bool-coords", "empty-coords", "ld1-padding-65",
-        "ld2-padding-1e6", "ld2-stride-1e6"])
+        "int-coords", "float-coords", "bool-coords", "empty-coords", "ld1-padding-1",
+        "ld1-padding-65", "ld2-padding-1e6", "ld2-stride-1e6"])
 def test_analyze_ao_refuses_a_damaged_sidecar(tmp_path, capsys, damage, message):
     path = _make_checkpoint(tmp_path, "damaged.ldt")
     sidecar_path = Path(str(path) + ".json")

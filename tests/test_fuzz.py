@@ -1,4 +1,4 @@
-"""Fuzzers: generated inputs through `cli.main`, which must exit 0 or 2 and
+"""Fuzzers: generated inputs through `cli.main`, which must exit 0, 1 or 2 and
 never raise, with small generated sizes."""
 
 import contextlib
@@ -10,13 +10,14 @@ import tempfile
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ldconv.cli import main
 from ldconv.geometry import MAX_COORD
-from ldconv.layer import MAX_SIDECAR_STRIDE_PADDING
-from ldconv.tensor import Rng, rand_uniform, write_tensors
+from ldconv.layer import MAX_SIDECAR_STRIDE
+from ldconv.tensor import Rng, Tensor4, rand_uniform, write_tensors
 from ldconv.training import TinyNet, save_net
 
 _COORD = st.one_of(st.integers(0, 6), st.integers(-3, -1),
@@ -79,12 +80,15 @@ _COORDS = st.sampled_from([5, "x", None, [], [[0, 0]], [[0, 0], [0, 1]], [[-1, 0
                            [[10**400, 0]], [[1.5, 0]], [[True, 0]], [[0]], [[100_000, 0]]])
 _EDIT = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(_INT_SPOTS),
-              st.sampled_from([0, -1, 2, MAX_SIDECAR_STRIDE_PADDING + 1, 10**5, 10**12,
+              st.sampled_from([0, -1, 2, MAX_SIDECAR_STRIDE + 1, 10**5, 10**12,
                                True, "5", None, 2.5])),
     st.tuples(st.just("del"), st.sampled_from(_KEY_SPOTS)),
     st.tuples(st.just("set"), st.sampled_from([("ld1", "coords"), ("ld2", "coords")]), _COORDS))
 _DAMAGE = st.one_of(st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
                     st.tuples(st.just("cut"), st.integers(0, 1 << 20)))
+# an undamaged container in about half the examples, so that what else an
+# example changes is read rather than lost to a refused container
+_DAMAGES = st.one_of(st.just([]), st.lists(_DAMAGE, min_size=1, max_size=2))
 
 
 @functools.cache
@@ -96,6 +100,35 @@ def _checkpoint():
         write_tensors(Path(tmp) / "probe.ldt", {"probe": rand_uniform((1, 1, 6, 6), Rng(0))})
         return (path.read_bytes(), Path(str(path) + ".json").read_text(),
                 (Path(tmp) / "probe.ldt").read_bytes())
+
+
+def _damaged(blob, damage):
+    blob = bytearray(blob)
+    for kind, where, *bits in damage:
+        where %= max(len(blob), 1)
+        if kind == "cut":
+            del blob[where:]
+        elif blob:
+            blob[where] ^= bits[0]
+    return bytes(blob)
+
+
+def _analyze_ao(tmp_path, blob, sidecar_text, probe):
+    """Exit code of analyze-ao on the checkpoint and probe bytes given, after
+    checking that it raised nothing and printed and wrote little."""
+    path = tmp_path / "net.ldt"
+    path.write_bytes(blob)
+    Path(str(path) + ".json").write_text(sidecar_text)
+    (tmp_path / "probe.ldt").write_bytes(probe)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze-ao", "--checkpoint", str(path),
+                     "--probe", str(tmp_path / "probe.ldt"), "--out", str(tmp_path / "ao")])
+    assert code in (0, 1, 2), err.getvalue()
+    assert len(out.getvalue()) + len(err.getvalue()) < 4096
+    if code == 0:
+        assert sum(f.stat().st_size for f in (tmp_path / "ao").iterdir()) < 1 << 20
+    return code, err.getvalue()
 
 
 def _edit_sidecar(sidecar, edit):
@@ -111,7 +144,7 @@ def _edit_sidecar(sidecar, edit):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(edits=st.lists(_EDIT, max_size=3), damage=st.lists(_DAMAGE, max_size=2))
+@given(edits=st.lists(_EDIT, max_size=3), damage=_DAMAGES)
 # an unbounded padding sized the padded probe: MemoryError out of main
 @example(edits=[("set", ("ld1", "padding"), 10**5)], damage=[])
 @example(edits=[("set", ("ld2", "padding"), 10**5)], damage=[])
@@ -120,24 +153,34 @@ def test_analyze_ao_fuzzed_checkpoints(tmp_path, edits, damage):
     sidecar = json.loads(sidecar_text)
     for edit in edits:
         _edit_sidecar(sidecar, edit)
-    blob = bytearray(blob)
-    for kind, where, *bits in damage:
-        where %= max(len(blob), 1)
-        if kind == "cut":
-            del blob[where:]
-        elif blob:
-            blob[where] ^= bits[0]
-    path = tmp_path / "net.ldt"
-    path.write_bytes(blob)
-    Path(str(path) + ".json").write_text(json.dumps(sidecar))
-    (tmp_path / "probe.ldt").write_bytes(probe)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["analyze-ao", "--checkpoint", str(path),
-                     "--probe", str(tmp_path / "probe.ldt"), "--out", str(tmp_path / "ao")])
-    assert code in (0, 2), err.getvalue()
+    code, err = _analyze_ao(tmp_path, _damaged(blob, damage), json.dumps(sidecar), probe)
+    assert code in (0, 2), err
     if not edits and not damage:
-        assert code == 0, err.getvalue()
-    assert len(out.getvalue()) + len(err.getvalue()) < 4096
-    if code == 0:
-        assert sum(f.stat().st_size for f in (tmp_path / "ao").iterdir()) < 1 << 20
+        assert code == 0, err
+
+
+# -- probes through analyze-ao --------------------------------------------------------
+
+_VALUES = st.lists(st.sampled_from([0.0, 0.5, -1.0, 1e38, -1e38, np.nan, np.inf, -np.inf]),
+                   min_size=1, max_size=4)
+# (batch, channels, height, width, values repeated to fill them); TinyNet reads one channel
+_RECORD = st.tuples(st.integers(0, 2), st.sampled_from([1, 1, 1, 2, 3]), st.integers(1, 8),
+                    st.integers(1, 8), _VALUES)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(_RECORD, max_size=2), damage=_DAMAGES)
+# a flipped name length made the name 1,282 bytes of the record: a 5,162-character error
+@example(records=[(2, 3, 8, 8, [0.0])], damage=[("flip", 5, 5)])
+def test_analyze_ao_fuzzed_probes(tmp_path, records, damage):
+    blob, sidecar_text, _ = _checkpoint()
+    probe_path = tmp_path / "made.ldt"
+    write_tensors(probe_path, {f"p{i}": Tensor4(np.resize(np.float32(values), dims))
+                               for i, (*dims, values) in enumerate(records)})
+    code, err = _analyze_ao(tmp_path, blob, sidecar_text,
+                            _damaged(probe_path.read_bytes(), damage))
+    if records and not damage:
+        b_n, c_n, _, _, values = records[0]     # analyze-ao reads the first record
+        if b_n and c_n == 1 and np.isfinite(values).all() and max(map(abs, values)) < 1e38:
+            assert code == 0, err

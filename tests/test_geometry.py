@@ -23,7 +23,7 @@ from ldconv.geometry import (
     load_custom_shape,
 )
 from ldconv.layer import LdconvLayer
-from ldconv.tensor import ShapeError, Tensor4
+from ldconv.tensor import ShapeError, Tensor4, pad2d
 
 
 def coords_by_direct_construction(n):
@@ -212,7 +212,8 @@ def test_load_custom_shape_is_linear_in_the_point_count():
     ],
 )
 def test_base_grid_extent(h_in, w_in, stride, pad, h_out, w_out):
-    grid = base_grid(h_in, w_in, stride=stride, pad=pad)
+    # pad is the zero padding ahead of the layer, which widens its input
+    grid = base_grid(h_in + 2 * pad, w_in + 2 * pad, stride=stride)
     assert (grid.h_out, grid.w_out) == (h_out, w_out)
 
 
@@ -224,9 +225,9 @@ def test_base_grid_extent(h_in, w_in, stride, pad, h_out, w_out):
 @settings(max_examples=60, deadline=None)
 def test_base_grid_anchors_are_stride_multiples(h_in, stride, pad):
     # a one-point layer with zero offsets samples exactly at the anchors
-    grid = base_grid(h_in, h_in, stride=stride, pad=pad)
-    layer = LdconvLayer.create(1, 1, 1, stride=stride, padding=pad)
-    x = Tensor4(np.zeros((1, 1, h_in, h_in), dtype=np.float32))
+    grid = base_grid(h_in + 2 * pad, h_in + 2 * pad, stride=stride)
+    layer = LdconvLayer.create(1, 1, 1, stride=stride)
+    x = Tensor4(pad2d(np.zeros((1, 1, h_in, h_in), dtype=np.float32), pad))
     sample = layer.forward(x)[1].grid
     assert sample.dims == (1, 1, grid.h_out, grid.w_out)
     anchors = sample.rows[0, 0, :, 0]
@@ -240,5 +241,3 @@ def test_base_grid_rejects_bad_arguments():
         base_grid(0, 5)
     with pytest.raises(ValueError):
         base_grid(5, 5, stride=0)
-    with pytest.raises(ValueError):
-        base_grid(5, 5, pad=-1)

@@ -94,7 +94,7 @@ def layout_deviation(layer, x):
 
 
 def windows_by_slices(layer, x, h_out, w_out):
-    xpp = pad2d(x, layer.padding + 1)
+    xpp = pad2d(x, 1)
     b_n, c_in = x.shape[:2]
     s = layer.stride
     cols = np.empty((b_n, c_in, 3, 3, h_out, w_out), dtype=x.dtype)
@@ -138,13 +138,14 @@ def _same_bits(got, want):
 
 
 def _post_case(stride, padding, dtype):
-    """A randomised post-stage layer, its input and its rng."""
+    """A randomised post-stage layer, its input zero-padded by padding, and its rng."""
     rng = Rng(stride * 10 + padding)
-    layer = _randomized(LdconvLayer.create(5, 3, 4, stride=stride, padding=padding,
+    layer = _randomized(LdconvLayer.create(5, 3, 4, stride=stride,
                                            post="normalize+activation", rng=rng, dtype=dtype), rng)
     layer.post_scale = rng.stream("scale").uniform(0.5, 1.5, size=4).astype(dtype)
     layer.post_shift = rng.stream("shift").uniform(-0.5, 0.5, size=4).astype(dtype)
-    return layer, rand_uniform((2, 3, 9, 8), rng, lo=-1.0, hi=1.0, dtype=dtype), rng
+    x = rand_uniform((2, 3, 9, 8), rng, lo=-1.0, hi=1.0, dtype=dtype)
+    return layer, Tensor4(pad2d(x.data, padding)), rng
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -333,8 +334,8 @@ def test_output_without_post_stage_is_the_mix():
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 2)])
 def test_offsets_match_the_forward_field(stride, padding):
-    layer = _randomized(LdconvLayer.create(3, 2, 4, stride=stride, padding=padding), Rng(6))
-    x = rand_uniform((2, 2, 7, 6), Rng(2))
+    layer = _randomized(LdconvLayer.create(3, 2, 4, stride=stride), Rng(6))
+    x = Tensor4(pad2d(rand_uniform((2, 2, 7, 6), Rng(2)).data, padding))
     field = layer.offsets(x)
     assert field.data.tobytes() == _offsets(layer, x).data.tobytes()
 
@@ -363,9 +364,9 @@ def test_zero_offsets_match_reference_conv(k):
 
 def test_zero_offsets_match_padded_reference_conv():
     rng = Rng(31)
-    layer = LdconvLayer.create(9, 2, 3, padding=1, rng=rng)
+    layer = LdconvLayer.create(9, 2, 3, rng=rng)
     x = rand_uniform((1, 2, 6, 6), rng, stream="x")
-    y, _ = layer.forward(x)
+    y, _ = layer.forward(Tensor4(pad2d(x.data, 1)))
     w = layer.agg_w.reshape(3, 2, 3, 3)
     ref = conv2d_reference(x, w, bias=layer.agg_b, pad=1)
     h_ref, w_ref = ref.dims[2], ref.dims[3]
@@ -445,12 +446,14 @@ def test_gradients_with_post_stage():
     (2, 1, "normalize+activation"), (3, 2, "normalize+activation"),
 ])
 def test_gradients_at_strides_and_padding(stride, padding, post):
-    # The post stage is curved, so there the central difference's truncation
-    # error (~eps^2, 7e-8 at the default 1e-4) dominates; 1e-5 cuts it 100x.
+    # The layer has no padding: padding only widens the input to the extent a
+    # layer padded by it samples.  The post stage is curved, so there the
+    # central difference's truncation error (~eps^2, 7e-8 at the default 1e-4)
+    # dominates; 1e-5 cuts it 100x.
     eps = 1e-4 if post == "none" else 1e-5
-    results = check_layer_gradients(dims=(2, 3, 7, 7), n=5, seed=stride + 10 * padding,
-                                    eps=eps, dtype=np.float64, stride=stride,
-                                    padding=padding, post=post)
+    side = 7 + 2 * padding
+    results = check_layer_gradients(dims=(2, 3, side, side), n=5, seed=stride + 10 * padding,
+                                    eps=eps, dtype=np.float64, stride=stride, post=post)
     for res in results:
         assert res.passed, f"{res.group}: {res.max_rel_err:.3e} > {res.tol}"
 
@@ -461,10 +464,10 @@ def test_backward_without_input_grad(stride, padding):
     for post in ("none", "normalize+activation"):
         for dtype in (np.float32, np.float64):
             rng = Rng(stride + 10 * padding)
-            layer = _randomized(LdconvLayer.create(5, 3, 4, stride=stride, padding=padding,
-                                                   post=post, rng=rng), rng).astype(dtype)
+            layer = _randomized(LdconvLayer.create(5, 3, 4, stride=stride, post=post, rng=rng),
+                                rng).astype(dtype)
             x = rand_uniform((2, 3, 8, 7), rng, stream="x", dtype=dtype)
-            y, cache = layer.forward(x)
+            y, cache = layer.forward(Tensor4(pad2d(x.data, padding)))
             up = Tensor4(rng.stream("up").uniform(-1, 1, size=y.dims).astype(dtype))
             full = layer.backward(cache, up)
             skip = layer.backward(cache, up, input_grad=False)
@@ -557,12 +560,12 @@ def test_astype_round_trip_agrees():
 
 def test_layer_checkpoint_round_trip(tmp_path):
     layer = _randomized(
-        LdconvLayer.create(5, 2, 3, stride=2, padding=1,
-                           post="normalize+activation", rng=Rng(11)), Rng(11))
+        LdconvLayer.create(5, 2, 3, stride=2, post="normalize+activation", rng=Rng(11)),
+        Rng(11))
     path = tmp_path / "layer.ldt"
     back = _round_trip(layer, path)
-    assert (back.n, back.c_in, back.c_out) == (5, 2, 3)
-    assert (back.stride, back.padding) == (2, 1)
+    assert (back.n, back.c_in, back.c_out, back.stride) == (5, 2, 3, 2)
+    assert load_net(path)[1]["ld1"]["padding"] == 0   # the format keeps the key
     assert back.post == "normalize+activation"
     assert back.geometry.coords == layer.geometry.coords
     x = rand_uniform((2, 2, 6, 6), Rng(12))
@@ -606,10 +609,11 @@ def _assert_same_bits(got, want):
 
 
 def _block_case(stride, padding, post, dtype, seed, dims=(3, 3, 8, 7)):
+    """A layer, its input zero-padded by padding, and an upstream."""
     rng = Rng(seed)
-    layer = _randomized(LdconvLayer.create(5, dims[1], 4, stride=stride, padding=padding,
-                                           post=post, rng=rng), rng).astype(dtype)
-    x = rand_uniform(dims, rng, stream="x", dtype=dtype)
+    layer = _randomized(LdconvLayer.create(5, dims[1], 4, stride=stride, post=post, rng=rng),
+                        rng).astype(dtype)
+    x = Tensor4(pad2d(rand_uniform(dims, rng, stream="x", dtype=dtype).data, padding))
     y_dims = layer.forward(x)[0].dims
     up = Tensor4(rng.stream("up").uniform(-1, 1, size=y_dims).astype(dtype))
     return layer, x, up

@@ -506,7 +506,7 @@ def test_shape_file_checkpoint_loads_from_any_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parent.parent)
     rel = "shapes/plus_5.txt"
     geo = load_custom_shape(Path(rel).read_text())
-    net = TinyNet.create(geometry1=geo, geometry2=geo)
+    net = TinyNet.create(geometry=geo)
     path = tmp_path / "net.ldt"
     save_net(net, path)
     monkeypatch.chdir(tmp_path)
@@ -550,7 +550,7 @@ def test_load_net_rejects_layer_checkpoint(tmp_path):
 
 
 # sha256 of the container and the sidecar that save_net writes for
-# TinyNet.create(rng=Rng(7), post=..., geometry1=g, geometry2=g): any change to
+# TinyNet.create(rng=Rng(7), post=..., geometry=g): any change to
 # the record names, order, dims, payload or sidecar keys shows up here.
 _CHECKPOINT_SHA256 = {
     ("default", None): (
@@ -575,7 +575,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path, post, shape):
         root = Path(__file__).resolve().parent.parent
         geo = load_custom_shape((root / "shapes" / f"{shape}.txt").read_text())
     kwargs = {} if post == "default" else {"post": post}
-    net = TinyNet.create(rng=Rng(7), geometry1=geo, geometry2=geo, **kwargs)
+    net = TinyNet.create(rng=Rng(7), geometry=geo, **kwargs)
     path = tmp_path / "net.ldt"
     save_net(net, path)
     got = (hashlib.sha256(path.read_bytes()).hexdigest(),

@@ -18,13 +18,14 @@ compute the same map; the tests check them against this one.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .geometry import KernelGeometry, base_grid, gen_initial_coords
-from .sampler import SampleGrid, bilinear_backward, bilinear_sample
+from .sampler import SampleGrid, _blocks, bilinear_backward, bilinear_sample
 from .tensor import Rng, ShapeError, Tensor4, _owned, pad2d
 
 STRATEGIES = ("conv3d-style", "channel-stack-1x1", "column-conv")
@@ -60,9 +61,9 @@ class OffsetField:
 
 @dataclass
 class LayerCache:
-    """Intermediate values retained by forward for the manual backward pass,
-    which rebuilds the post stage's activations from sampled and post_cache's
-    per-channel mean and inv_std with the layer's current parameters."""
+    """Values forward keeps for the manual backward, which rebuilds from them
+    with the layer's current parameters the post stage's activations (sampled,
+    post_cache's per-channel mean and inv_std) and each image block's windows."""
 
     x: Tensor4
     offsets: OffsetField
@@ -112,7 +113,7 @@ class LdconvLayer:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, options: {STRATEGIES}")
         if self.post not in POST_MODES:
-            raise ValueError(f"unknown post mode {self.post!r}, options: {POST_MODES}")
+            raise ValueError(f"unknown post mode {reprlib.repr(self.post)}, options: {POST_MODES}")
         if self.geometry.n != self.n:
             raise ShapeError(f"geometry has {self.geometry.n} points, layer expects {self.n}")
         if self.offset_w.shape != (2 * self.n, self.c_in, 3, 3):
@@ -205,19 +206,22 @@ class LdconvLayer:
 
     # -- forward pieces ------------------------------------------------------
 
+    def _taps(self, x: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
+        """View (B, c_in, 3, 3, h_out, w_out) of x zero-padded by 1: each output's 3x3 window."""
+        xp = pad2d(x, 1)
+        sb, sc, sh, sw = xp.strides
+        return as_strided(xp, (*xp.shape[:2], 3, 3, h_out, w_out),
+                          (sb, sc, sh, sw, sh * self.stride, sw * self.stride), writeable=False)
+
     def _windows(self, x: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
         """Window matrix (B, c_in*9, h_out*w_out) of the 3x3 offset conv.
 
         The conv zero-pads x by 1, so before the stride it has one output per
         input position.  Row c*9 + kh*3 + kw is channel c at tap (kh, kw),
-        matching offset_w.reshape(2n, c_in*9).  One copy of a strided window
-        view, it holds nine copies of the input, so callers free it right after
-        its GEMM rather than cache it.
+        matching offset_w.reshape(2n, c_in*9).  A copy of _taps, it holds nine
+        copies of the input, so callers free it right after its GEMM.
         """
-        s = self.stride
-        taps = sliding_window_view(pad2d(x, 1), (3, 3), axis=(2, 3))
-        taps = taps[:, :, ::s, ::s][:, :, :h_out, :w_out].transpose(0, 1, 4, 5, 2, 3)
-        return np.ascontiguousarray(taps).reshape(x.shape[0], -1, h_out * w_out)
+        return np.ascontiguousarray(self._taps(x, h_out, w_out)).reshape(len(x), -1, h_out * w_out)
 
     def offsets(self, x: Tensor4) -> OffsetField:
         """Offset field predicted for x: the offset conv alone, one GEMM over
@@ -335,6 +339,8 @@ class LdconvLayer:
                  input_grad: bool = True) -> LayerGrads:
         """Gradients of sum(upstream * forward(x)) for input and all parameters.
 
+        The post stage and the mix weights' gradient take the whole batch, the
+        rest one sampler block at a time, keeping every batch sum's order.
         With input_grad=False the input gradient is not computed and grads.x
         is None, for a first layer whose input needs none; every parameter
         gradient is the same either way.  It reads the layer's current
@@ -360,38 +366,38 @@ class LdconvLayer:
         grad_agg_w = (up3 @ stacked.transpose(0, 2, 1)).sum(axis=0) \
             .reshape(self.agg_w.shape).astype(self.dtype, copy=False)
         grad_agg_b = up.sum(axis=(0, 2, 3)) if self.agg_b is not None else None
-        grad_sampled = (w_mix.T @ up3).reshape(cache.sampled.shape).astype(self.dtype, copy=False)
 
-        # bilinear sampling
-        grad_x, grad_rows, grad_cols = bilinear_backward(cache.x, cache.grid, grad_sampled,
-                                                         input_grad=input_grad)
-        del grad_sampled              # as large as the samples; freed before the windows
-
-        # grid -> offset field (anchors and initial coordinates are constant)
-        grad_field = np.concatenate([grad_rows, grad_cols], axis=1).reshape(b_n, 2 * self.n, cells)
-
-        # offset conv: weight gradient against rebuilt windows, then the input
-        # gradient as one GEMM plus nine strided adds (col2im)
-        windows_t = self._windows(cache.x.data, h_out, w_out).transpose(0, 2, 1)
-        grad_offset_w = (grad_field @ windows_t).sum(axis=0) \
-            .reshape(self.offset_w.shape).astype(self.dtype, copy=False)
-        del windows_t
-        grad_offset_b = grad_field.sum(axis=(0, 2))
-
-        if input_grad:
-            w_off = self.offset_w.reshape(2 * self.n, -1)
-            grad_windows = (w_off.T @ grad_field).reshape(b_n, self.c_in, 3, 3, h_out, w_out)
-            h_in, w_in = cache.x.dims[2:]
-            grad_xpp = np.zeros((b_n, self.c_in, h_in + 2, w_in + 2), dtype=grad_x.dtype)
-            s = self.stride
-            for kh in range(3):
-                for kw in range(3):
-                    grad_xpp[:, :, kh:kh + (h_out - 1) * s + 1:s,
-                             kw:kw + (w_out - 1) * s + 1:s] += grad_windows[:, :, kh, kw]
-            grad_x = _owned(grad_x.data + grad_xpp[:, :, 1:-1, 1:-1])
-        return LayerGrads(x=grad_x, offset_w=grad_offset_w, offset_b=grad_offset_b,
-                          agg_w=grad_agg_w, agg_b=grad_agg_b,
-                          post_scale=grad_scale, post_shift=grad_shift)
+        x_arr, (h_in, w_in), n, s = cache.x.data, cache.x.dims[2:], self.n, self.stride
+        # tap-major weights give the windows' gradient as one contiguous slab per col2im add
+        w_taps = self.offset_w.transpose(0, 2, 3, 1).reshape(2 * n, -1)
+        spots = [np.s_[..., kh:kh + (h_out - 1) * s + 1:s, kw:kw + (w_out - 1) * s + 1:s]
+                 for kh in range(3) for kw in range(3)]
+        grad_field = field_windows = grad_x = taps = None
+        for blk in _blocks(x_arr, cache.grid)[2]:
+            gx, grad_rows, grad_cols = bilinear_backward(
+                Tensor4(x_arr[blk]), cache.grid.images(blk),
+                (w_mix.T @ up3[blk]).reshape(-1, *cache.sampled.shape[1:]), input_grad=input_grad)
+            if taps is None:            # only now: a one-block batch peaks inside that call
+                grad_field = np.empty((b_n, 2 * n, cells), dtype=self.dtype)
+                field_windows = np.empty((b_n, 2 * n, self.c_in * 9), dtype=self.dtype)
+                grad_x = np.empty_like(x_arr) if input_grad else None
+                taps = self._taps(x_arr, h_out, w_out)      # a view of one padded copy of x
+            # grid -> offset field (anchors, initial coordinates constant); offset conv gradients
+            grad_field[blk, :n] = grad_rows.reshape(-1, n, cells)
+            grad_field[blk, n:] = grad_cols.reshape(-1, n, cells)
+            np.matmul(grad_field[blk], np.ascontiguousarray(taps[blk]).reshape(
+                -1, self.c_in * 9, cells).transpose(0, 2, 1), out=field_windows[blk])
+            if input_grad:
+                grad_windows = (w_taps.T @ grad_field[blk]).reshape(-1, 9, self.c_in, h_out, w_out)
+                grad_xpp = np.zeros(gx.dims[:2] + (h_in + 2, w_in + 2), dtype=x_arr.dtype)
+                for k, spot in enumerate(spots):
+                    np.add(grad_xpp[spot], grad_windows[:, k], out=grad_xpp[spot])
+                np.add(gx.data, grad_xpp[:, :, 1:-1, 1:-1], out=grad_x[blk])
+                del grad_windows, grad_xpp      # before the next block's sampler call
+        return LayerGrads(x=_owned(grad_x) if input_grad else None,
+                          offset_w=field_windows.sum(axis=0).reshape(self.offset_w.shape),
+                          offset_b=grad_field.sum(axis=(0, 2)), agg_w=grad_agg_w,
+                          agg_b=grad_agg_b, post_scale=grad_scale, post_shift=grad_shift)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ alike.
 
 Both directions run over blocks of whole images with at most BLOCK_BYTES of
 samples (P*C*itemsize per image), one image at least, writing into slices of
-full-size outputs.  A block's working set, a few arrays of its samples'
-size, then stays near a core's 2 MiB L2, and no full-batch (B, P, C)
+full-size outputs; the layer backward drives the blocks, one call each.  A
+block's working set stays near a core's 2 MiB L2, and no full-batch (B, P, C)
 temporary exists (a stress-shape layer step traced 22.9 MiB with them, 13.9
-in blocks).  An image's samples and table rows lie in one block, so every
-sum, bincount bins included, takes the same terms in the same order: the
-block size changes no output bit.
+with sampler blocks, 10.7 with the layer backward's too).  An image's samples
+and table rows lie in one block, so every sum, bincount bins included, takes
+the same terms in the same order: the block size changes no output bit.
 
 Per block, one plan clamps the grid once and gives each sample its top-left
 table row and the fractions t, u behind the four corner weights.  Both
@@ -77,6 +77,12 @@ class SampleGrid:
     @property
     def dims(self) -> tuple[int, int, int, int]:
         return self.rows.shape
+
+    def images(self, blk: slice) -> "SampleGrid":
+        """The batch slice blk, read-only views of this checked grid, not checked again."""
+        part = object.__new__(SampleGrid)
+        part.__dict__.update(rows=self.rows[blk], cols=self.cols[blk])
+        return part
 
 
 def _blocks(x_arr: np.ndarray, grid: SampleGrid):

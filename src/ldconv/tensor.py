@@ -10,6 +10,7 @@ inside the layer module.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -216,7 +217,7 @@ def read_tensors(path) -> dict[str, Tensor4]:
             raise ValueError("truncated container: incomplete dims")
         dims = struct.unpack_from("<4I", blob, offset)
         offset += 16
-        count = int(np.prod(dims, dtype=np.int64))
+        count = math.prod(dims)
         nbytes = count * 4
         if offset + nbytes > len(blob):
             raise ValueError(f"truncated container: record {shown} payload")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -69,7 +71,7 @@ def _read_idx(path: Path, magic: int, ndim: int) -> np.ndarray:
     if got != magic:
         raise ValueError(f"{path}: bad magic 0x{got:08x}, expected 0x{magic:08x}")
     dims = struct.unpack_from(f">{ndim}I", blob, 4)
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)
     start = 4 * (1 + ndim)
     if len(blob) < start + count:
         raise ValueError(f"{path}: truncated IDX payload "
@@ -248,13 +250,13 @@ class TrainConfig:
             value = getattr(self, field.name)
             if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[field.type]):
                 raise ValueError(f"config key {field.name!r} must be {field.type}, "
-                                 f"got {value!r}")
+                                 f"got {reprlib.repr(value)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.lr <= sys.float_info.max:   # exact for ints too; nan fails
+            raise ValueError(f"lr must be finite and >= 0, got {reprlib.repr(self.lr)}")
         if self.subset < 1:
             raise ValueError(f"subset must be >= 1, got {self.subset}")
         if self.eval_subset < 1:
@@ -266,7 +268,7 @@ class TrainConfig:
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {reprlib.repr(sorted(unknown))}")
         return cls(**raw)
 
 

@@ -184,3 +184,51 @@ def test_analyze_ao_fuzzed_probes(tmp_path, records, damage):
         b_n, c_n, _, _, values = records[0]     # analyze-ao reads the first record
         if b_n and c_n == 1 and np.isfinite(values).all() and max(map(abs, values)) < 1e38:
             assert code == 0, err
+
+
+# -- train configs ----------------------------------------------------------------------
+
+_WRONG = st.sampled_from([None, True, "5", 2.5, [], {}, [1] * 2000, "x" * 5000])
+# every size stays small: 1 epoch of at most 64 images, at most 32 evaluated
+_CONFIG_VALUES = {
+    "n1": st.integers(-1, 9), "n2": st.integers(-1, 9), "epochs": st.sampled_from([1, 1, 0, -1]),
+    "batch": st.sampled_from([1, 7, 32, 10**30, 0, -1]),
+    "lr": st.sampled_from([0, 0.05, 1.0, 1e30, 10**39, 10**400, 10**4000, -0.1,
+                           float("nan"), float("inf")]),
+    "seed": st.one_of(st.integers(0, 3), st.sampled_from([-1, 2**64, -10**30])),
+    "subset": st.integers(-1, 64), "eval_subset": st.integers(-1, 32),
+    "data_dir": st.sampled_from([None, "", "missing-dir", "\x00"]),
+    "post": st.sampled_from(["none", "normalize+activation", "", "y" * 5000]),
+}
+_KNOWN_EDIT = st.one_of(*[st.tuples(st.just(key), values) for key, values in _CONFIG_VALUES.items()])
+_CONFIG_EDIT = st.one_of(
+    _KNOWN_EDIT, _KNOWN_EDIT, _KNOWN_EDIT, st.tuples(st.sampled_from(list(_CONFIG_VALUES)), _WRONG),
+    st.tuples(st.sampled_from(["strategy", "padding", "", "N1", "z" * 5000]),
+              st.one_of(_WRONG, st.integers(0, 2))))
+_SMALL_CONFIG = {"epochs": 1, "subset": 16, "eval_subset": 8}
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(_CONFIG_EDIT, max_size=3), synthetic=st.sampled_from([True, True, False]),
+       top=st.sampled_from([None] * 5 + [[], 5, "x"]))
+# an lr int past the largest float: OverflowError out of the finiteness check
+@example(edits=[("lr", 10**400)], synthetic=True, top=None)
+# a wrong value, an unknown key or a post mode printed whole: errors of 5-10 KB
+@example(edits=[("n1", [1] * 2000)], synthetic=True, top=None)
+@example(edits=[("z" * 5000, 0)], synthetic=True, top=None)
+@example(edits=[("post", "y" * 5000)], synthetic=True, top=None)
+def test_train_fuzzed_configs(tmp_path, edits, synthetic, top):
+    config = dict(_SMALL_CONFIG, **dict(edits)) if top is None else top
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["train", str(path), "--out", str(tmp_path / "run")]
+                    + ["--synthetic"] * synthetic)
+    assert code in (0, 1, 2), err.getvalue()
+    assert len(out.getvalue()) + len(err.getvalue()) < 4096, err.getvalue()[:200]
+    if top is None and not edits and synthetic:
+        assert code == 0, err.getvalue()
+    if code == 0:
+        assert sum(f.stat().st_size for f in (tmp_path / "run").iterdir()) < 1 << 20

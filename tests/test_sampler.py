@@ -204,6 +204,16 @@ def test_grid_validation():
         bilinear_sample(x, _single_point(0.0, 0.0))
 
 
+def test_grid_images_are_read_only_views_of_the_checked_grid():
+    gen = np.random.default_rng(0)
+    grid = SampleGrid(gen.uniform(-1, 4, size=(3, 2, 2, 2)), gen.uniform(-1, 4, size=(3, 2, 2, 2)))
+    part = grid.images(slice(1, 3))
+    assert isinstance(part, SampleGrid) and part.dims == (2, 2, 2, 2)
+    for got, full in ((part.rows, grid.rows), (part.cols, grid.cols)):
+        assert np.shares_memory(got, full) and not got.flags.writeable
+        assert np.array_equal(got, full[1:3])
+
+
 def test_backward_rejects_bad_upstream():
     x = Tensor4(np.zeros((1, 2, 3, 3)))
     grid = _single_point(1.0, 1.0)

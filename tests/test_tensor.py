@@ -1,5 +1,7 @@
 """Tensor container, seeded streams, and the direct reference convolution."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,15 @@ def test_container_truncation(tmp_path):
     clipped.write_bytes(blob[:-5])
     with pytest.raises(ValueError, match="truncated"):
         read_tensors(clipped)
+
+
+def test_container_dims_whose_product_overflows_int64_are_a_truncated_payload(tmp_path):
+    # 65536**4 = 2**64 elements, which an int64 product counts as 0
+    path = tmp_path / "huge.ldt"
+    path.write_bytes(b"LDT1" + struct.pack("<H", 1) + b"a" + struct.pack("<5I", 4, *[65536] * 4)
+                     + b"\x00" * 64)
+    with pytest.raises(ValueError, match="truncated container: record 'a' payload"):
+        read_tensors(path)
 
 
 def test_container_rejects_non_tensor(tmp_path):

@@ -84,6 +84,14 @@ def test_idx_truncated_payload(tmp_path):
         load_idx(tmp_path / "img", tmp_path / "lab")
 
 
+def test_idx_dims_whose_product_overflows_int64_are_a_truncated_payload(tmp_path):
+    side = 2 ** 21     # side**3 = 2**63, one past the largest int64
+    (tmp_path / "img").write_bytes(struct.pack(">4I", 0x00000803, side, side, side) + b"\x00" * 64)
+    _write_idx_labels(tmp_path / "lab", [0])
+    with pytest.raises(ValueError, match="truncated IDX payload"):
+        load_idx(tmp_path / "img", tmp_path / "lab")
+
+
 def test_idx_count_mismatch(tmp_path):
     _write_idx_images(tmp_path / "img", np.zeros((3, 4, 4), dtype=np.uint8))
     _write_idx_labels(tmp_path / "lab", [0, 1])

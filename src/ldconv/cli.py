@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import reprlib
 import resource
 import statistics
 import sys
@@ -36,10 +37,10 @@ REL_TOL_STRATEGY = 1e-5
 def _parse_dims(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
-        raise ValueError(f"--dims expects B,C,H,W, got {text!r}")
+        raise ValueError(f"--dims expects B,C,H,W, got {reprlib.repr(text)}")
     dims = tuple(int(p) for p in parts)
     if any(d < 1 for d in dims):
-        raise ValueError(f"--dims entries must be >= 1, got {dims}")
+        raise ValueError(f"--dims entries must be >= 1, got {reprlib.repr(dims)}")
     return dims
 
 
@@ -90,8 +91,8 @@ def _cmd_gen_coords(args) -> int:
 def _cmd_check_grad(args) -> int:
     dims = _parse_dims(args.dims)
     dtype = np.float64 if args.f64 else np.float32
-    if args.eps is not None and not 0 < args.eps < float("inf"):
-        raise ValueError(f"--eps must be finite and > 0, got {args.eps}")
+    if args.eps is not None and not 0 < args.eps <= 1:   # larger steps cross cells, or overflow
+        raise ValueError(f"--eps must be finite and > 0, at most 1, got {args.eps}")
     results = check_sampler_gradients(dims=dims, n=args.n, seed=args.seed,
                                       eps=args.eps, dtype=dtype)
     results += check_layer_gradients(dims=dims, n=args.n, seed=args.seed,
@@ -337,6 +338,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:   # covers shape/format/input errors
+        if isinstance(exc, OSError) and len(str(exc.filename)) > 200:   # a path of any length
+            exc.filename = f"{str(exc.filename)[:100]}...{str(exc.filename)[-100:]}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,21 +17,15 @@ and column repeat the input's.  Each corner is then a fixed step
 t = 0, and row H repeats row H-1, which is r1 = min(r0 + 1, H-1); columns
 alike.
 
-Both directions run over blocks of whole images with at most BLOCK_BYTES of
-samples (P*C*itemsize per image), one image at least, writing into slices of
-full-size outputs; the layer backward drives the blocks, one call each.  A
-block's working set stays near a core's 2 MiB L2, and no full-batch (B, P, C)
-temporary exists (a stress-shape layer step traced 22.9 MiB with them, 13.9
-with sampler blocks, 10.7 with the layer backward's too).  An image's samples
-and table rows lie in one block, so every sum, bincount bins included, takes
-the same terms in the same order: the block size changes no output bit.
+Each call is one pass over the images it is given, one block: LdconvLayer
+calls each direction once per block of whole images.
 
-Per block, one plan clamps the grid once and gives each sample its top-left
-table row and the fractions t, u behind the four corner weights.  Both
-directions gather whole rows one corner at a time, from the table shifted by
-the corner's step, into one reused (b, P, C) buffer.  The backward contracts
+One plan clamps the grid once and gives each sample its top-left table row
+and the fractions t, u behind the four corner weights.  Both directions
+gather whole rows one corner at a time, from the table shifted by the
+corner's step, into one reused (B, P, C) buffer.  The backward contracts
 each gathered corner with the upstream over C for the coordinate gradients.
-Only its input-gradient scatter builds the (4, b, P) corner index, for one
+Only its input-gradient scatter builds the (4, B, P) corner index, for one
 float64 bincount per channel, in a fixed order whatever the dtype; the
 repeated edge gets only zero weights and is dropped.  input_grad=False (a
 network's first layer) skips the scatter, the larger part of the backward.
@@ -47,10 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ShapeError, Tensor4, _owned
-
-# most sample bytes per block; a sweep of 512 KiB, 1, 2 MiB and unbounded chose it
-BLOCK_BYTES = 1 << 19
-
 
 @dataclass(frozen=True)
 class SampleGrid:
@@ -85,24 +75,19 @@ class SampleGrid:
         return part
 
 
-def _blocks(x_arr: np.ndarray, grid: SampleGrid):
-    """The grid's raw rows and cols as (B, P), and the batch slices of the
-    blocks.  ShapeError unless the batches match."""
-    b_n, c_n = x_arr.shape[:2]
+def _raw(x_arr: np.ndarray, grid: SampleGrid):
+    """The grid's raw rows and cols as (B, P); ShapeError unless the batches match."""
+    b_n = x_arr.shape[0]
     if grid.dims[0] != b_n:
         raise ShapeError(f"grid batch {grid.dims[0]} != input batch {b_n}")
-    raw_r = grid.rows.reshape(b_n, -1)
-    raw_c = grid.cols.reshape(b_n, -1)
-    step = max(1, BLOCK_BYTES // max(1, raw_r.shape[1] * c_n * x_arr.itemsize))
-    return raw_r, raw_c, [slice(b0, b0 + step) for b0 in range(0, b_n, step)]
+    return grid.rows.reshape(b_n, -1), grid.cols.reshape(b_n, -1)
 
 
 def _plan(x_arr: np.ndarray, raw_r: np.ndarray, raw_c: np.ndarray):
-    """Interpolation plan of one block, x (b, C, H, W) sampled at raw (b, P)
-    coordinates: the channels-last table of x, per sample (b, P) the table
-    row of its top-left corner, the steps from it to the four corners, and
-    the fractions t, u.  The clamp runs in the grid's dtype, before the cast
-    to x's dtype.
+    """Interpolation plan of x (B, C, H, W) sampled at raw (B, P) coordinates:
+    the channels-last table of x, per sample (B, P) the table row of its
+    top-left corner, the steps from it to the four corners, and the fractions
+    t, u.  The clamp runs in the grid's dtype, before the cast to x's dtype.
     """
     b_n, c_n, h_in, w_in = x_arr.shape
     dtype = x_arr.dtype
@@ -134,26 +119,14 @@ def _weights(t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def bilinear_sample(x: Tensor4, grid: SampleGrid) -> np.ndarray:
-    """Sample x at grid coordinates; returns (B, C, N, H_out, W_out)."""
+    """Sample x at grid coordinates; returns (B, C, N, H_out, W_out), a
+    channels-first view of the (B, P, C) samples."""
     x_arr = x.data
-    raw_r, raw_c, blocks = _blocks(x_arr, grid)
-    sampled = None
-    for blk in blocks:
-        out = _sample_block(x_arr[blk], raw_r[blk], raw_c[blk])
-        if sampled is None:    # once the first block's plan is freed
-            sampled = np.empty(x.dims[:2] + raw_r.shape[1:], dtype=x_arr.dtype)    # (B, C, P)
-        sampled[blk] = out.transpose(0, 2, 1)
-        del out                # before the next block's plan
-    return sampled.reshape(x.dims[:2] + grid.dims[1:])
-
-
-def _sample_block(x_arr, raw_r, raw_c):
-    """One block's samples as (b, P, C)."""
-    rows, top_left, steps, t, u = _plan(x_arr, raw_r, raw_c)
+    rows, top_left, steps, t, u = _plan(x_arr, *_raw(x_arr, grid))
     weight = _weights(t, u)
     del t, u
-    # one corner at a time: a stacked (4, b, P, C) gather raises peak memory
-    out = np.take(rows, top_left, axis=0)                 # (b, P, C)
+    # one corner at a time: a stacked (4, B, P, C) gather raises peak memory
+    out = np.take(rows, top_left, axis=0)                 # (B, P, C)
     out *= weight[0][:, :, None]
     term = np.empty_like(out)
     for k in range(1, 4):
@@ -161,7 +134,7 @@ def _sample_block(x_arr, raw_r, raw_c):
         np.take(rows[steps[k]:], top_left, axis=0, out=term, mode="clip")
         term *= weight[k][:, :, None]
         out += term
-    return out
+    return out.transpose(0, 2, 1).reshape(x.dims[:2] + grid.dims[1:])
 
 
 def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
@@ -177,28 +150,10 @@ def bilinear_backward(x: Tensor4, grid: SampleGrid, upstream: np.ndarray, *,
     upstream = np.asarray(upstream, dtype=x_arr.dtype)
     if upstream.shape != (b_n, c_n) + grid.dims[1:]:
         raise ShapeError(f"upstream shape {upstream.shape} != {(b_n, c_n) + grid.dims[1:]}")
-    raw_r, raw_c, blocks = _blocks(x_arr, grid)
-    up = upstream.reshape(b_n, c_n, -1)
-    grad_rows = np.empty(raw_r.shape, dtype=x_arr.dtype)
-    grad_cols = np.empty(raw_r.shape, dtype=x_arr.dtype)
-    grad_x = np.empty_like(x_arr) if input_grad else None
-    for blk in blocks:
-        _backward_block(x_arr[blk], raw_r[blk], raw_c[blk], up[blk], grad_rows[blk],
-                        grad_cols[blk], grad_x[blk] if input_grad else None)
-    grad_rows = grad_rows.reshape(grid.dims)
-    grad_cols = grad_cols.reshape(grid.dims)
-    # the clamp is flat outside [0, extent-1], judged in the grid's dtype
-    grad_rows[(grid.rows < 0) | (grid.rows > h_in - 1)] = 0
-    grad_cols[(grid.cols < 0) | (grid.cols > w_in - 1)] = 0
-    return (_owned(grad_x) if input_grad else None), grad_rows, grad_cols
-
-
-def _backward_block(x_arr, raw_r, raw_c, up, grad_rows, grad_cols, grad_x):
-    """One block's gradients, written into its slices of grad_rows, grad_cols
-    (b, P) and, unless it is None, grad_x (b, C, H, W)."""
-    b_n, c_n, h_in, w_in = x_arr.shape
+    raw_r, raw_c = _raw(x_arr, grid)
     rows, top_left, steps, t, u = _plan(x_arr, raw_r, raw_c)
-    up_rows = np.ascontiguousarray(up.transpose(0, 2, 1))          # (b, P, C)
+    up = upstream.reshape(b_n, c_n, -1)
+    up_rows = np.ascontiguousarray(up.transpose(0, 2, 1))          # (B, P, C)
     # per corner, the gathered rows contracted with the upstream over C; one
     # corner at a time into one buffer, as in bilinear_sample
     dots = np.empty((4,) + top_left.shape, dtype=x_arr.dtype)
@@ -210,18 +165,23 @@ def _backward_block(x_arr, raw_r, raw_c, up, grad_rows, grad_cols, grad_x):
     a00, a01, a10, a11 = dots
 
     one = x_arr.dtype.type(1)
-    grad_rows[...] = (one - u) * (a10 - a00) + u * (a11 - a01)
-    grad_cols[...] = (one - t) * (a01 - a00) + t * (a11 - a10)
-    if grad_x is None:
-        return
-
-    # One float64 bincount per channel over the four corners' table rows; the
-    # products are taken in the input dtype and summed in float64.  What lands
-    # in the repeated edge has weight exactly 0: dropping it changes no sum.
-    weight = _weights(t, u)
-    corner = (top_left + np.array(steps)[:, None, None]).reshape(-1)    # (4, b, P)
-    contrib = np.empty(weight.shape, dtype=np.float64)
-    for c in range(c_n):
-        np.multiply(weight, up[:, c], out=contrib)
-        grad_x[:, c] = np.bincount(corner, weights=contrib.reshape(-1), minlength=rows.shape[0]
-                                   ).reshape(b_n, h_in + 1, w_in + 1)[:, :h_in, :w_in]
+    grad_rows = (one - u) * (a10 - a00) + u * (a11 - a01)
+    grad_cols = (one - t) * (a01 - a00) + t * (a11 - a10)
+    # the clamp is flat outside [0, extent-1], judged in the grid's dtype
+    grad_rows[(raw_r < 0) | (raw_r > h_in - 1)] = 0
+    grad_cols[(raw_c < 0) | (raw_c > w_in - 1)] = 0
+    grad_x = None
+    if input_grad:
+        # One float64 bincount per channel over the four corners' table rows; the
+        # products are taken in the input dtype and summed in float64.  What lands
+        # in the repeated edge has weight exactly 0: dropping it changes no sum.
+        weight = _weights(t, u)
+        corner = (top_left + np.array(steps)[:, None, None]).reshape(-1)    # (4, B, P)
+        contrib = np.empty(weight.shape, dtype=np.float64)
+        grad_x = np.empty_like(x_arr)
+        for c in range(c_n):
+            np.multiply(weight, up[:, c], out=contrib)
+            grad_x[:, c] = np.bincount(corner, weights=contrib.reshape(-1), minlength=rows.shape[0]
+                                       ).reshape(b_n, h_in + 1, w_in + 1)[:, :h_in, :w_in]
+        grad_x = _owned(grad_x)
+    return grad_x, grad_rows.reshape(grid.dims), grad_cols.reshape(grid.dims)

@@ -72,23 +72,33 @@ def test_gen_coords_fuzzed_shape_files(tmp_path, lines, trailing_newline):
 
 # -- checkpoints through analyze-ao ---------------------------------------------------
 
-_LAYER_INTS = ("n", "c_in", "c_out", "stride", "padding")
-_INT_SPOTS = [("classes",)] + [(layer, key) for layer in ("ld1", "ld2") for key in _LAYER_INTS]
+_SIZING_SPOTS = [("classes",)] + [(layer, key) for layer in ("ld1", "ld2")
+                                   for key in ("n", "c_in", "c_out")]
 _KEY_SPOTS = [("kind",), ("ld1",), ("ld2",), ("classes",)] + [
-    (layer, key) for layer in ("ld1", "ld2") for key in (*_LAYER_INTS, "post")]
+    (layer, key) for layer in ("ld1", "ld2")
+    for key in ("n", "c_in", "c_out", "stride", "padding", "post")]
+_INTS = st.sampled_from([0, -1, 2, MAX_SIDECAR_STRIDE + 1, 10**5, 10**12, True, "5", None, 2.5])
 _COORDS = st.sampled_from([5, "x", None, [], [[0, 0]], [[0, 0], [0, 1]], [[-1, 0]],
                            [[10**400, 0]], [[1.5, 0]], [[True, 0]], [[0]], [[100_000, 0]]])
-_EDIT = st.one_of(
-    st.tuples(st.just("set"), st.sampled_from(_INT_SPOTS),
-              st.sampled_from([0, -1, 2, MAX_SIDECAR_STRIDE + 1, 10**5, 10**12,
-                               True, "5", None, 2.5])),
-    st.tuples(st.just("del"), st.sampled_from(_KEY_SPOTS)),
+# the keys that size no record: the records' dims pre-check passes, so the
+# layer itself reads the edited value
+_LAYER_EDIT = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from([(layer, key) for layer in ("ld1", "ld2")
+                                               for key in ("stride", "padding")]), _INTS),
+    st.tuples(st.just("set"), st.sampled_from([("ld1", "post"), ("ld2", "post")]),
+              st.sampled_from(["none", "normalize+activation", "", "y" * 5000, 5, None])),
     st.tuples(st.just("set"), st.sampled_from([("ld1", "coords"), ("ld2", "coords")]), _COORDS))
+_EDIT = st.one_of(st.tuples(st.just("set"), st.sampled_from(_SIZING_SPOTS), _INTS),
+                  st.tuples(st.just("del"), st.sampled_from(_KEY_SPOTS)), _LAYER_EDIT)
 _DAMAGE = st.one_of(st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
                     st.tuples(st.just("cut"), st.integers(0, 1 << 20)))
-# an undamaged container in about half the examples, so that what else an
-# example changes is read rather than lost to a refused container
 _DAMAGES = st.one_of(st.just([]), st.lists(_DAMAGE, min_size=1, max_size=2))
+# (sidecar edits, container damage): in about half the examples only
+# non-sizing layer keys are edited, on an undamaged container, so that the
+# edit reaches layer_from_sidecar rather than a refused container or dims
+_CHECKPOINT_CASES = st.one_of(
+    st.tuples(st.lists(_LAYER_EDIT, min_size=1, max_size=3), st.just([])),
+    st.tuples(st.lists(_EDIT, max_size=3), _DAMAGES))
 
 
 @functools.cache
@@ -144,11 +154,12 @@ def _edit_sidecar(sidecar, edit):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(edits=st.lists(_EDIT, max_size=3), damage=_DAMAGES)
+@given(case=_CHECKPOINT_CASES)
 # an unbounded padding sized the padded probe: MemoryError out of main
-@example(edits=[("set", ("ld1", "padding"), 10**5)], damage=[])
-@example(edits=[("set", ("ld2", "padding"), 10**5)], damage=[])
-def test_analyze_ao_fuzzed_checkpoints(tmp_path, edits, damage):
+@example(case=([("set", ("ld1", "padding"), 10**5)], []))
+@example(case=([("set", ("ld2", "padding"), 10**5)], []))
+def test_analyze_ao_fuzzed_checkpoints(tmp_path, case):
+    edits, damage = case
     blob, sidecar_text, probe = _checkpoint()
     sidecar = json.loads(sidecar_text)
     for edit in edits:
@@ -218,6 +229,8 @@ _SMALL_CONFIG = {"epochs": 1, "subset": 16, "eval_subset": 8}
 @example(edits=[("n1", [1] * 2000)], synthetic=True, top=None)
 @example(edits=[("z" * 5000, 0)], synthetic=True, top=None)
 @example(edits=[("post", "y" * 5000)], synthetic=True, top=None)
+# a data_dir printed whole in the OSError of a path too long to open
+@example(edits=[("data_dir", "x" * 5000)], synthetic=True, top=None)
 def test_train_fuzzed_configs(tmp_path, edits, synthetic, top):
     config = dict(_SMALL_CONFIG, **dict(edits)) if top is None else top
     path = tmp_path / "config.json"
@@ -232,3 +245,60 @@ def test_train_fuzzed_configs(tmp_path, edits, synthetic, top):
         assert code == 0, err.getvalue()
     if code == 0:
         assert sum(f.stat().st_size for f in (tmp_path / "run").iterdir()) < 1 << 20
+
+
+# -- check-grad and bench arguments -------------------------------------------------
+
+# --dims entries that parse to 1 or 2, and malformed ones; the 4,200-digit
+# negative one parses
+_ENTRY = st.one_of(st.integers(1, 2).map(str),
+                   st.sampled_from(["", "0", "-1", "x", "1.5", " 2", "+2", "0_1", "9" * 5000,
+                                    "-" + "9" * 4200]))
+
+
+def _dims(valid):
+    """--dims strings: B,C,H,W drawn from valid in about half the examples, else malformed."""
+    valid = valid.map(lambda dims: ",".join(map(str, dims)))
+    return st.one_of(valid, valid, st.lists(_ENTRY, max_size=6).map(",".join),
+                     st.sampled_from(["1," * 3000, "x" * 5000, "1,1,1", "1,1,1,1,"]))
+
+
+def _run_cli(argv):
+    """main(argv)'s exit code, after checking that it raised nothing and printed little."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert len(out.getvalue()) + len(err.getvalue()) < 4096, err.getvalue()[:200]
+    return code
+
+
+_N = st.integers(-1, 6)
+_FLAGS = st.lists(st.sampled_from(["--f64", "--sabotage"]), unique=True)
+_SIZES = st.integers(1, 6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=_dims(st.tuples(st.integers(1, 2), st.integers(1, 2), _SIZES, _SIZES)), n=_N,
+       eps=st.sampled_from([None] * 3 + ["0", "-1", "nan", "inf", "1e-300", "1e300"]), flags=_FLAGS)
+# a --dims string or entry printed whole: errors of 5-6 KB
+@example(dims="x" * 5000, n=3, eps=None, flags=[])
+@example(dims="1,1,1,-" + "9" * 4200, n=3, eps=None, flags=[])
+# a step past float32's range: an overflow warning out of the difference quotient
+@example(dims="1,1,2,2", n=1, eps="1e300", flags=[])
+def test_check_grad_fuzzed_arguments(dims, n, eps, flags):
+    _run_cli(["check-grad", "--dims", dims, "--n", str(n)] + flags
+             + ([] if eps is None else [f"--eps={eps}"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=_dims(st.tuples(_SIZES, _SIZES, _SIZES, _SIZES)), n=_N, c_out=st.integers(0, 4),
+       stride=st.sampled_from([0, 1, 2, 3, 10**6]), iters=st.sampled_from([0, 1, 1, 2]),
+       warmup=st.sampled_from([-1, 0, 0, 1]),
+       post=st.sampled_from(["none", "normalize+activation", "x"]))
+# a --dims string printed whole: a 6 KB error
+@example(dims="1," * 3000, n=3, c_out=2, stride=1, iters=1, warmup=0, post="none")
+def test_bench_fuzzed_arguments(dims, n, c_out, stride, iters, warmup, post):
+    _run_cli(["bench", "--dims", dims, "--n", str(n), "--c-out", str(c_out),
+              "--stride", str(stride), "--iters", str(iters), "--warmup", str(warmup),
+              "--post", post])

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldconv.layer as layer_mod
-import ldconv.sampler as sampler_mod
 from ldconv.gradcheck import check_layer_gradients
 from ldconv.geometry import KernelGeometry, gen_initial_coords
 from ldconv.cli import REL_TOL_STRATEGY
@@ -586,9 +585,10 @@ def test_layer_checkpoint_custom_geometry(tmp_path):
 
 
 # -- sampler blocks ---------------------------------------------------------------
-# The sampler works through runs of whole images of at most sampler.BLOCK_BYTES
-# of samples.  Every block writes its own slice of the full-size outputs, and
-# each input-gradient bin belongs to one image, so the block size changes no bit.
+# The layer calls the sampler once per run of whole images of at most
+# layer.BLOCK_BYTES of samples, in each direction.  Every block fills its own
+# slice of the full-size outputs, and each input-gradient bin belongs to one
+# image, so the block size changes no bit.
 
 
 def _fwd_bwd_outputs(layer, x, up, input_grad):
@@ -628,7 +628,7 @@ def test_one_image_per_block_gives_the_same_bits(monkeypatch, stride, padding, p
                                                  input_grad):
     layer, x, up = _block_case(stride, padding, post, dtype, seed=stride + 10 * padding)
     whole = _fwd_bwd_outputs(layer, x, up, input_grad)       # one block at this size
-    monkeypatch.setattr(sampler_mod, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(layer_mod, "BLOCK_BYTES", 1)
     _assert_same_bits(_fwd_bwd_outputs(layer, x, up, input_grad), whole)
 
 
@@ -639,7 +639,7 @@ def test_no_output_reads_uninitialised_memory(monkeypatch, block_bytes):
     cases = [_block_case(2, 1, post, np.float32, seed=3) for post in ("none", "normalize+activation")]
     want = [_fwd_bwd_outputs(*case, input_grad) for case in cases for input_grad in (True, False)]
     if block_bytes is not None:
-        monkeypatch.setattr(sampler_mod, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(layer_mod, "BLOCK_BYTES", block_bytes)
     real_empty, real_empty_like = np.empty, np.empty_like
 
     def poisoned(arr):
@@ -656,23 +656,28 @@ def test_no_output_reads_uninitialised_memory(monkeypatch, block_bytes):
         _assert_same_bits(g, w)
 
 
-@pytest.mark.parametrize("input_grad", [True, False])
-def test_backward_calls_the_sampler_once_per_block(monkeypatch, input_grad):
-    # perfbench's tracer wraps ldconv.layer.bilinear_backward and counts the
-    # samples of the SampleGrid each call gets: one call per block of whole
-    # images, its grid that block's slice, so the counts add up to the batch's
+@pytest.mark.parametrize("direction", ["forward", "backward", "backward-no-input-grad"])
+def test_calls_the_sampler_once_per_block(monkeypatch, direction):
+    # perfbench's tracer wraps ldconv.layer.bilinear_sample and bilinear_backward
+    # and counts the samples of the SampleGrid each call gets: one call per
+    # block of whole images, its grid that block's slice, so the counts add up
+    # to the batch's
     layer, x, up = _block_case(2, 0, "none", np.float32, seed=5)
     _, cache = layer.forward(x)
+    name = "bilinear_sample" if direction == "forward" else "bilinear_backward"
     grids = []
-    real = layer_mod.bilinear_backward
+    real = getattr(layer_mod, name)
 
     def recording(x_blk, grid, *args, **kwargs):
         grids.append(grid)
         return real(x_blk, grid, *args, **kwargs)
 
-    monkeypatch.setattr(sampler_mod, "BLOCK_BYTES", 1)
-    monkeypatch.setattr(layer_mod, "bilinear_backward", recording)
-    layer.backward(cache, up, input_grad=input_grad)
+    monkeypatch.setattr(layer_mod, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(layer_mod, name, recording)
+    if direction == "forward":
+        layer.forward(x)
+    else:
+        layer.backward(cache, up, input_grad=direction == "backward")
     assert len(grids) == x.dims[0] == 3
     for b, grid in enumerate(grids):
         assert isinstance(grid, SampleGrid) and grid.dims[0] == 1

@@ -385,7 +385,8 @@ def test_single_row_or_column_reads_the_repeated_edge(dims):
 
 
 def test_sample_peak_memory_at_the_first_layer_shape():
-    # one 256-image call at ld1's input and grid: the plan is one int64
+    # one 256-image call at ld1's input and grid, one block: the sampler
+    # takes the batch it is given, the layer splits it.  The plan is one int64
     # top-left index per sample, not four corner indices
     gen = np.random.default_rng(0)
     x = Tensor4(gen.uniform(-1, 1, size=(256, 1, 28, 28)).astype(np.float32))
@@ -403,9 +404,9 @@ def test_sample_peak_memory_at_the_first_layer_shape():
 
 
 def test_one_block_sample_allocates_its_output_after_the_plan():
-    # ld2's batch-32 call is one block: its (B, C, P) output, 245 KiB, is
-    # allocated once the block's plan and weights are freed, not alongside
-    # them (1.15 MiB traced when it was)
+    # ld2's batch-32 call: the samples it returns are its own (B, P, C)
+    # buffer, seen channels-first; a separate (B, C, P) output, 245 KiB,
+    # allocated alongside the plan and weights traced 1.15 MiB
     gen = np.random.default_rng(0)
     x = Tensor4(gen.uniform(-1, 1, size=(32, 8, 14, 14)).astype(np.float32))
     shape = (32, 5, 7, 7)
@@ -422,8 +423,9 @@ def test_one_block_sample_allocates_its_output_after_the_plan():
 
 
 def test_backward_peak_memory_at_the_stress_shape():
-    # the four corners are gathered one at a time into one (B, P, C) buffer;
-    # a stacked (4, B, P, C) gather alone would be 18 MiB here
+    # one 8-image call, one block: the four corners are gathered one at a
+    # time into one (B, P, C) buffer; a stacked (4, B, P, C) gather alone
+    # would be 18 MiB here
     gen = np.random.default_rng(0)
     x = Tensor4(gen.uniform(-1, 1, size=(8, 16, 32, 32)).astype(np.float32))
     shape = (8, 9, 32, 32)
